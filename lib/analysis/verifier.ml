@@ -147,16 +147,16 @@ let check_region_contents t =
               "object #%d (uid=%d, %dB, age=%d, fwd=%b, humongous=%b) is \
                flagged freed yet still resident in region %d (%s, \
                humongous=%b); region history: %s"
-              o.id o.uid o.size o.age (Gobj.is_forwarded o)
+              o.id o.uid o.size (Gobj.age o) (Gobj.is_forwarded o)
               (Gobj.has_flag o Gobj.flag_humongous)
               rid
               (Region.kind_to_string r.Region.kind)
               r.Region.humongous
               (H.dump_region_history rid);
-          if o.offset <> !running then
+          if Gobj.offset o <> !running then
             emit t ~invariant:"region-layout" ~region:rid ~object_id:o.id
               "object #%d at offset %d, expected contiguous offset %d" o.id
-              o.offset !running;
+              (Gobj.offset o) !running;
           running := !running + o.size;
           match chase o with
           | None ->
@@ -195,7 +195,7 @@ let check_reachability t =
           "reachable reference (from %s) resolves to freed object #%d, last \
            resident at region %d offset %d — reclaimed memory reached \
            without a forwarding entry"
-          from o.Gobj.id o.Gobj.region o.Gobj.offset
+          from o.Gobj.id o.Gobj.region (Gobj.offset o)
       else if Region.is_free (H.region heap o.Gobj.region) then
         emit t ~invariant:"no-dangling-reference" ~region:o.Gobj.region
           ~object_id:o.Gobj.id
@@ -231,14 +231,14 @@ let check_satb t =
   let epoch = heap.H.mark_epoch in
   let wm = t.mark_watermark in
   iter_residents heap (fun _r (o : Gobj.t) ->
-      if o.Gobj.mark >= epoch then
+      if Gobj.mark o >= epoch then
         Gobj.iter_fields
           (fun i c ->
             let rc = Gobj.resolve c in
             if
               (not (Gobj.is_freed rc))
               && rc.Gobj.uid < wm
-              && rc.Gobj.mark < epoch
+              && Gobj.mark rc < epoch
             then
               emit t ~invariant:"satb-tri-color" ~region:rc.Gobj.region
                 ~object_id:rc.Gobj.id
@@ -246,7 +246,7 @@ let check_satb t =
                  field %d → unmarked snapshot object #%d (region %d, \
                  mark=%d < epoch %d)"
                 o.Gobj.id o.Gobj.region i rc.Gobj.id rc.Gobj.region
-                rc.Gobj.mark epoch)
+                (Gobj.mark rc) epoch)
           o)
 
 (** Young-generation tri-color analog, for collectors that really mark
@@ -258,20 +258,20 @@ let check_young_satb t =
   let heap = t.rt.RtM.heap in
   let yepoch = heap.H.young_epoch in
   iter_residents heap (fun (r : Region.t) (o : Gobj.t) ->
-      if r.Region.kind = Region.Young && o.Gobj.ymark >= yepoch then
+      if r.Region.kind = Region.Young && Gobj.ymark o >= yepoch then
         Gobj.iter_fields
           (fun i c ->
             let rc = Gobj.resolve c in
             if
               (not (Gobj.is_freed rc))
               && (H.region heap rc.Gobj.region).Region.kind = Region.Young
-              && rc.Gobj.ymark < yepoch
+              && Gobj.ymark rc < yepoch
             then
               emit t ~invariant:"young-satb-tri-color" ~region:rc.Gobj.region
                 ~object_id:rc.Gobj.id
                 "young-marked #%d field %d → unmarked young object #%d \
                  (region %d, ymark=%d < epoch %d)"
-                o.Gobj.id i rc.Gobj.id rc.Gobj.region rc.Gobj.ymark yepoch)
+                o.Gobj.id i rc.Gobj.id rc.Gobj.region (Gobj.ymark rc) yepoch)
           o)
 
 (* ------------------------------------------------------------------ *)
@@ -299,7 +299,7 @@ let check_livemap t =
       Util.Vec.iter
         (fun (o : Gobj.t) ->
           if
-            o.Gobj.mark >= epoch
+            Gobj.mark o >= epoch
             && o.Gobj.uid < wm
             && not (Region.livemap_is_marked r o)
           then
@@ -307,7 +307,7 @@ let check_livemap t =
               ~object_id:o.Gobj.id
               "object #%d (region %d offset %d) is marked in epoch %d but \
                its region live bit is clear"
-              o.Gobj.id rid o.Gobj.offset epoch)
+              o.Gobj.id rid (Gobj.offset o) epoch)
         r.Region.objects
     end
   done
@@ -372,7 +372,7 @@ let check_crdt t =
             let found = ref false in
             Region.iter_objects_in_range r ~off:(H.card_to_offset heap card)
               ~len:heap.H.cfg.H.card_bytes (fun (o : Gobj.t) ->
-                if o.Gobj.mark >= epoch then found := true);
+                if Gobj.mark o >= epoch then found := true);
             if not !found then
               emit t ~invariant:"crdt-live-agreement" ~region:rid
                 "CRDT card %d (region %d) is recorded but no marked object \
@@ -385,7 +385,7 @@ let check_crdt t =
           if
             r.Region.kind = Region.Old
             && r.Region.alloc_epoch < epoch
-            && o.Gobj.mark >= epoch
+            && Gobj.mark o >= epoch
             && o.Gobj.uid < wm
             && not (Gobj.is_forwarded o)
           then

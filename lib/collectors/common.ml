@@ -8,6 +8,14 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
+(** Reject a promotion age the object header cannot count to: ages
+    saturate at {!Gobj.max_age}, so a larger tenure age would never
+    promote. *)
+let check_tenure_age ~who n =
+  if n < 0 || n > Gobj.max_age then
+    invalid_arg
+      (Printf.sprintf "%s: tenure_age %d outside [0, %d]" who n Gobj.max_age)
+
 (* ------------------------------------------------------------------ *)
 (* Batched cost accounting for GC threads.                              *)
 
@@ -274,8 +282,8 @@ module Evac = struct
         let heap = d.rt.RtM.heap in
         let r = dest_region d ~size:o.Gobj.size in
         let copy =
-          Gobj.remake ~pool:heap.Heap_impl.pool ~uids:heap.Heap_impl.uids o
-            ~age:(o.Gobj.age + 1) ~region:r.Region.rid ~offset:r.Region.top
+          Gobj.remake ~uids:heap.Heap_impl.uids o
+            ~age:(Gobj.age o + 1) ~region:r.Region.rid ~offset:r.Region.top
         in
         Heap_impl.push_relocated d.rt.RtM.heap r copy;
         Gobj.set_forward_with ~hooks:d.rt.RtM.heap.Heap_impl.hooks
@@ -372,7 +380,7 @@ let check_reachability rt ~where =
         o.Gobj.id o.Gobj.region
         (Region.kind_to_string r.Region.kind)
         (if Gobj.is_freed o then " FREED" else "")
-        r.Region.in_cset o.Gobj.age o.Gobj.mark o.Gobj.ymark
+        r.Region.in_cset (Gobj.age o) (Gobj.mark o) (Gobj.ymark o)
         (Gobj.is_forwarded o)
     in
     let rec visit path (o : Gobj.t) =
@@ -501,8 +509,8 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
         | None -> false
         | Some d ->
             let copy =
-              Gobj.remake ~pool:heap.Heap_impl.pool ~uids:heap.Heap_impl.uids
-                o ~age:(o.Gobj.age + 1) ~region:d.Region.rid
+              Gobj.remake ~uids:heap.Heap_impl.uids
+                o ~age:(Gobj.age o + 1) ~region:d.Region.rid
                 ~offset:d.Region.top
             in
             Heap_impl.push_relocated heap d copy;
@@ -542,8 +550,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
             List.iter
               (fun (o : Gobj.t) ->
                 let copy =
-                  Gobj.remake ~pool:heap.Heap_impl.pool
-                    ~uids:heap.Heap_impl.uids o ~age:(o.Gobj.age + 1)
+                  Gobj.remake ~uids:heap.Heap_impl.uids o ~age:(Gobj.age o + 1)
                     ~region:r.Region.rid ~offset:r.Region.top
                 in
                 Heap_impl.push_relocated heap r copy;

@@ -342,6 +342,7 @@ let controller t () =
 (* Plumbing.                                                            *)
 
 let install ?(config = default_config) rt =
+  Common.check_tenure_age ~who:"G1.install" config.tenure_age;
   let heap = rt.RtM.heap in
   let t =
     {

@@ -164,6 +164,7 @@ let controller t () =
   done
 
 let install ?(config = default_config) rt =
+  Common.check_tenure_age ~who:"Lxr.install" config.tenure_age;
   let heap = rt.RtM.heap in
   let t =
     {

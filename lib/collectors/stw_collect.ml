@@ -107,7 +107,7 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
         else begin
           let promote =
             (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Old
-            || o.Gobj.age >= config.tenure_age
+            || Gobj.age o >= config.tenure_age
             || !survivor_bytes > survivor_cap
           in
           let dest = if promote then dest_old else dest_young in
@@ -255,7 +255,7 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
                failwith
                  (Printf.sprintf
                     "stw_collect pre-release: #%d (r%d age=%d) reachable in cset but not copied; path=[%s]"
-                    o.Gobj.id o.Gobj.region o.Gobj.age
+                    o.Gobj.id o.Gobj.region (Gobj.age o)
                     (String.concat ";"
                        (List.rev_map
                           (fun (p : Gobj.t) ->

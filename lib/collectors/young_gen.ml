@@ -36,6 +36,7 @@ type t = {
 }
 
 let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
+  Common.check_tenure_age ~who:"Young_gen.create" tenure_age;
   let heap = rt.RtM.heap in
   let t =
     {
@@ -134,7 +135,7 @@ let evacuate_young_region t tk ~dest_young ~dest_old (r : Region.t) =
         incr copied_objects;
         copied_bytes := !copied_bytes + o.Gobj.size;
         let promote =
-          o.Gobj.age >= t.tenure_age || t.survivor_bytes > t.survivor_cap
+          Gobj.age o >= t.tenure_age || t.survivor_bytes > t.survivor_cap
         in
         let dest = if promote then dest_old else dest_young in
         let o' = Common.Evac.copy_object dest tk o in

@@ -126,7 +126,7 @@ let run_cycle t =
               Util.Vec.iter
                 (fun (o : Gobj.t) ->
                   if Gobj.is_forwarded o then
-                    Forwarding.add fwd ~old_offset:o.Gobj.offset
+                    Forwarding.add fwd ~old_offset:(Gobj.offset o)
                       o.Gobj.forward)
                 r.Region.objects;
               t.forwarding <- fwd :: t.forwarding;

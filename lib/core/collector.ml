@@ -139,6 +139,7 @@ let old_controller t () =
   done
 
 let install ?(config = Jade_config.default) rt =
+  Common.check_tenure_age ~who:"Jade.install" config.tenure_age;
   let young = Young.create ~config rt in
   let old_gc = Old.create ~config ~young rt in
   young.Young.old_cycle_running <- (fun () -> old_gc.Old.cycle_running);

@@ -102,7 +102,7 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
       let dest_young, dest_old = dests in
       Common.Ticker.tick tk t.rt.RtM.costs.Costs.mark_atomic;
       let promote =
-        o.Gobj.age >= t.config.tenure_age
+        Gobj.age o >= t.config.tenure_age
         || t.survivor_bytes > t.survivor_cap
       in
       let dest = if promote then dest_old else dest_young in

@@ -10,9 +10,6 @@ type machine = {
   region_bytes : int;
   quantum : int;
   seed : int;
-  pooling : bool;
-      (** recycle dead records/field arrays ({!Heap.Heap_impl.config});
-          off only for pooled-vs-unpooled equivalence fences *)
 }
 
 let default_machine =
@@ -22,7 +19,6 @@ let default_machine =
     region_bytes = 512 * Util.Units.kib;
     quantum = 20 * Util.Units.us;
     seed = 42;
-    pooling = true;
   }
 
 type summary = {
@@ -86,8 +82,7 @@ let prepare ?(machine = default_machine) ?verify
   in
   let engine = Sim.Engine.create ~cores:machine.cores ~quantum:machine.quantum () in
   let cfg =
-    Heap.Heap_impl.config ~heap_bytes ~region_bytes:machine.region_bytes
-      ~pooling:machine.pooling ()
+    Heap.Heap_impl.config ~heap_bytes ~region_bytes:machine.region_bytes ()
   in
   let heap = Heap.Heap_impl.create cfg in
   let rt = RtM.create ~seed:machine.seed ~engine ~heap () in

@@ -20,9 +20,6 @@ let create ~rid ~expected =
 let add t ~old_offset obj =
   Access.log_with t.hooks Access.Atomic Access.Fwd_table ~key:t.rid
     ~site:"Forwarding.add";
-  (* The table now names this record from off-heap: exclude it from
-     record recycling for the rest of the run (the flag is sticky). *)
-  Gobj.set_flag obj Gobj.flag_in_fwd_table;
   Hashtbl.replace t.table old_offset obj
 
 let find t ~old_offset =

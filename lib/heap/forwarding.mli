@@ -11,8 +11,7 @@ type t
 val create : rid:int -> expected:int -> t
 
 val add : t -> old_offset:int -> Gobj.t -> unit
-(** Record a mapping.  Marks the copy {!Gobj.flag_in_fwd_table} so the
-    pool never recycles a record an off-heap table still names. *)
+(** Record a mapping. *)
 
 val find : t -> old_offset:int -> Gobj.t
 (** The copy recorded for [old_offset], or {!Gobj.null}. *)

@@ -1,5 +1,5 @@
 (** Simulated heap objects: unboxed reference slots around a null
-    sentinel, with pooled records and field arrays.
+    sentinel, with a packed header.
 
     An object is a record holding real reference slots ([fields]) to other
     objects, so marking genuinely traverses the graph and evacuation
@@ -17,66 +17,42 @@
     healing replaces them with {!resolve}.  The new copy shares the
     [fields] array (the payload moved; there is one logical set of slots).
 
-    Record and array ownership (pooling): {!Heap_impl.release_region}
-    recycles the storage of dead residents through a {!Pool} owned by the
-    heap.  The rules are
-
-    - a record may be recycled only when nothing can reach it again: it
-      is unforwarded (forwarded records anchor resolve chains and share
-      their [fields] array with the live copy), its [inrefs] count of
-      incoming heap edges is zero (a dangling stale edge must keep
-      finding the record [freed], never conflated with a new identity),
-      and it is neither a registered weak referent nor held by an
-      off-heap forwarding table;
-    - a [fields] array may be recycled from any dead unforwarded
-      resident: dead holders are unreachable, and every guard on
-      dangling edges ([is_freed]) fires before a field read;
-    - [inrefs] is maintained at the {!set_field} choke point (install /
-      overwrite) plus one decrement pass over dying holders at region
-      release, so each logical edge is counted exactly once no matter
-      how often healing rewrites it between records of one identity.
-
-    Recycling never touches simulated state: a pooled record is
-    reinitialized exactly like a fresh one and mints its uid from the
-    same counter, so uids, traces and metrics are bit-identical with
-    pooling on or off. *)
+    Every record lives until the host GC finds it unreachable; the
+    simulator never recycles one.  Because every simulated object is a
+    host record that survives the minor heap, the record is kept lean:
+    the small per-object scalars share two packed words ([hdr] and
+    [marks]) read and written only through the accessors below. *)
 
 type t = {
-  mutable id : int;  (** logical identity, preserved across copies *)
-  mutable uid : int;  (** physical identity of this record — unique per
-                          copy, never reused (pooled records mint a fresh
-                          one); keys forwarding-install race checks *)
-  mutable size : int;  (** bytes, header included *)
-  mutable fields : t array;  (** reference slots; {!null} = empty *)
+  id : int;  (** logical identity, preserved across copies *)
+  uid : int;  (** physical identity of this record, unique per copy *)
+  size : int;  (** bytes, header included *)
+  fields : t array;  (** reference slots; {!null} = empty *)
   mutable region : int;
-  mutable offset : int;  (** byte offset of the header inside the region *)
   mutable forward : t;  (** newer copy; {!null} = not relocated *)
-  mutable mark : int;  (** epoch of the last old/full marking that reached it *)
-  mutable ymark : int;
-      (** epoch of the last *young* marking that reached it — young and
-          old cycles co-run, so their mark state must not alias *)
-  mutable age : int;  (** young collections survived *)
-  mutable flags : int;
-  mutable inrefs : int;
-      (** heap reference slots currently holding this record.  Roots are
-          deliberately not counted: a root-reachable object is marked and
-          hence forwarded before its region is ever released, so the
-          zero-inrefs recycling test never sees it. *)
+  mutable hdr : int;  (** [offset lsl 16 lor age lsl 8 lor flags] *)
+  mutable marks : int;  (** [mark lsl 31 lor ymark] *)
 }
 
 let header_bytes = 16
 let slot_bytes = 8
 let slot_shift = 3 (* log2 slot_bytes: card scans shift, not divide *)
 
+(* Packed header layout.  Flags sit in the low byte so a flag constant
+   is its own mask; offset takes the top bits so reading it is one
+   shift. *)
+let flag_mask = 0xff
+let age_shift = 8
+let max_age = 0xff
+let offset_shift = 16
+let max_offset = max_int lsr offset_shift
+let mark_shift = 31
+let max_epoch = (1 lsl mark_shift) - 1
+
 (* Flag bits *)
 let flag_weak_referent = 1
 let flag_humongous = 2
 let flag_freed = 4
-
-let flag_in_fwd_table = 8
-(* set when an off-heap forwarding table (ZGC-style) takes a reference
-   to the record; never cleared, so such records are conservatively
-   excluded from recycling for the rest of the run. *)
 
 let no_fields : t array = [||]
 
@@ -90,13 +66,9 @@ let rec null =
     size = 0;
     fields = no_fields;
     region = -1;
-    offset = 0;
     forward = null;
-    mark = 0;
-    ymark = 0;
-    age = 0;
-    flags = 0;
-    inrefs = 0;
+    hdr = 0;
+    marks = 0;
   }
 
 let[@inline] is_null t = t == null
@@ -110,18 +82,6 @@ let[@inline] is_null t = t == null
 let uid_counter_key : int ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref 0)
 
-let fresh_uid () =
-  let c = Domain.DLS.get uid_counter_key in
-  let u = !c in
-  incr c;
-  u
-
-(** A cached handle on this domain's uid counter, for paths that mint a
-    uid per allocation or per evacuation copy: resolving the DLS slot
-    once at heap creation and minting through the handle turns the
-    per-object cost into one load and one store.  The handle must live
-    in run-threaded state (e.g. {!Heap_impl.t}), mirroring the
-    {!Access.hooks} discipline. *)
 type uids = int ref
 
 let uid_source () : uids = Domain.DLS.get uid_counter_key
@@ -131,127 +91,143 @@ let[@inline] mint (c : uids) =
   c := u + 1;
   u
 
-(** Current value of the uid counter.  The verifier records it when a
-    marking snapshot is taken: any record with a uid at or above the
-    watermark was created (allocated or copied) after the snapshot, and
-    tri-color discipline does not constrain it. *)
 let uid_watermark () = !(Domain.DLS.get uid_counter_key)
-
-(** Restart the uid space.  Called when a fresh heap is created
-    ({!Heap_impl.create}): uids, like virtual time, are then a pure
-    function of the run — two in-process runs of one configuration mint
-    identical uids, which is what lets the schedule-space explorer
-    promise byte-identical violation reports on replay, whether the
-    runs share a domain (sequential) or not ([-j N]). *)
 let reset_uids () = Domain.DLS.get uid_counter_key := 0
 
-(** [make] with a cached uid handle — the allocation fast path. *)
+(* ------------------------------------------------------------------ *)
+(* Packed header accessors.                                             *)
+
+let[@inline] offset t = t.hdr lsr offset_shift
+let[@inline] age t = (t.hdr lsr age_shift) land max_age
+let[@inline] mark t = t.marks lsr mark_shift
+let[@inline] ymark t = t.marks land max_epoch
+
+let[@inline never] out_of_range what v max =
+  invalid_arg (Printf.sprintf "Gobj.%s: %d outside [0, %d]" what v max)
+
+let[@inline] check_offset off =
+  if off < 0 || off > max_offset then out_of_range "offset" off max_offset
+
+let[@inline] check_epoch what e =
+  if e < 0 || e > max_epoch then out_of_range what e max_epoch
+
+(* Ages only ever feed [age >= tenure_age] tests, and collector configs
+   reject tenure ages above [max_age], so saturating keeps every
+   promotion decision exact. *)
+let[@inline] saturate_age a =
+  if a < 0 then out_of_range "age" a max_age
+  else if a > max_age then max_age
+  else a
+
+let set_mark t e =
+  check_epoch "mark" e;
+  t.marks <- (t.marks land max_epoch) lor (e lsl mark_shift)
+
+let set_ymark t e =
+  check_epoch "ymark" e;
+  t.marks <- (t.marks land lnot max_epoch) lor e
+
+let place t ~region ~offset =
+  check_offset offset;
+  t.hdr <- (t.hdr land ((1 lsl offset_shift) - 1)) lor (offset lsl offset_shift);
+  t.region <- region
+
+let has_flag t f = t.hdr land f land flag_mask <> 0
+
+let[@inline] check_flag f =
+  if f land lnot flag_mask <> 0 then out_of_range "flag" f flag_mask
+
+let set_flag t f =
+  check_flag f;
+  t.hdr <- t.hdr lor f
+
+let clear_flag t f =
+  check_flag f;
+  t.hdr <- t.hdr land lnot f
+
+let is_weak_referent t = has_flag t flag_weak_referent
+let is_humongous t = has_flag t flag_humongous
+let is_freed t = has_flag t flag_freed
+
+(* ------------------------------------------------------------------ *)
+(* Construction.                                                        *)
+
 let make_with ~uids ~id ~size ~nrefs ~region ~offset =
+  check_offset offset;
   {
     id;
     uid = mint uids;
     size;
     fields = (if nrefs = 0 then no_fields else Array.make nrefs null);
     region;
-    offset;
     forward = null;
-    mark = 0;
-    ymark = 0;
-    age = 0;
-    flags = 0;
-    inrefs = 0;
+    hdr = offset lsl offset_shift;
+    marks = 0;
   }
 
-let make ~id ~size ~nrefs ~region ~offset =
+let remake ~uids (o : t) ~age ~region ~offset =
+  check_offset offset;
   {
-    id;
-    uid = fresh_uid ();
-    size;
-    fields = (if nrefs = 0 then no_fields else Array.make nrefs null);
+    id = o.id;
+    uid = mint uids;
+    size = o.size;
+    fields = o.fields;
     region;
-    offset;
     forward = null;
-    mark = 0;
-    ymark = 0;
-    age = 0;
-    flags = 0;
-    inrefs = 0;
+    hdr =
+      (offset lsl offset_shift)
+      lor (saturate_age age lsl age_shift)
+      lor (o.hdr land flag_mask);
+    marks = o.marks;
   }
 
-let has_flag t f = t.flags land f <> 0
-let set_flag t f = t.flags <- t.flags lor f
-let clear_flag t f = t.flags <- t.flags land lnot f
-
-let is_weak_referent t = has_flag t flag_weak_referent
-let is_humongous t = has_flag t flag_humongous
-let is_freed t = has_flag t flag_freed
+(* ------------------------------------------------------------------ *)
+(* Forwarding.                                                          *)
 
 (* Physical comparison against the sentinel: one load and one pointer
    compare, no C call — this test guards every mutator load/store and
    root access. *)
 let[@inline] is_forwarded t = t.forward != null
 
-(** Install the forwarding pointer of [t].  All relocation paths go
-    through here so the race detector sees every install as a [Write] on
-    the old copy's physical identity — two unordered installs on one
-    record are a double relocation.  Evacuation loops pass their heap's
-    cached [hooks] handle so a disabled detector costs one load+branch
-    per install instead of a DLS lookup. *)
 let set_forward ?hooks ?(site = "Gobj.set_forward") t copy =
   (match hooks with
   | Some h -> Access.log_with h Access.Write Access.Forward ~key:t.uid ~site
   | None -> Access.log Access.Write Access.Forward ~key:t.uid ~site);
   t.forward <- copy
 
-(** [set_forward] for evacuation loops: the hooks handle is a plain
-    labeled argument, so the per-copy call does not box it in an option
-    the way [?hooks] would. *)
 let set_forward_with ~hooks ~site t copy =
   Access.log_with hooks Access.Write Access.Forward ~key:t.uid ~site;
   t.forward <- copy
 
-(** Newest copy of an object (identity: follows the forwarding chain).
-    [resolve null] is [null]: the sentinel's knotted [forward] makes the
-    empty slot a fixpoint, so callers can resolve a field value without
-    testing it first. *)
+(* [resolve null] is [null]: the sentinel's knotted [forward] makes the
+   empty slot a fixpoint, so callers can resolve a field value without
+   testing it first. *)
 let rec resolve t = if t.forward == null then t else resolve t.forward
 
-(** Length of the forwarding chain, for tests and cost accounting. *)
 let forward_depth t =
   let rec go t n = if t.forward == null then n else go t.forward (n + 1) in
   go t 0
 
+(* ------------------------------------------------------------------ *)
+(* Fields.                                                              *)
+
 let num_fields t = Array.length t.fields
+let field_offset t i = offset t + header_bytes + (i * slot_bytes)
 
-(** Byte offset of field slot [i] inside the object's region. *)
-let field_offset t i = t.offset + header_bytes + (i * slot_bytes)
+let[@inline never] bad_index op t i =
+  invalid_arg
+    (Printf.sprintf "Gobj.%s: field %d of object #%d (uid %d) out of range [0, %d)"
+       op i t.id t.uid (Array.length t.fields))
 
-(* Reads past the end of [fields] return the sentinel instead of
-   raising: a region release can detach a dead resident's field array
-   into the pool while a card scan of that object is still walking a
-   field window captured before the release (the scan then observes an
-   empty object and stops finding children, which is exactly what the
-   freed object holds). *)
 let get_field t i =
   let fs = t.fields in
-  if i < Array.length fs then Array.unsafe_get fs i else null
+  if i < 0 || i >= Array.length fs then bad_index "get_field" t i
+  else Array.unsafe_get fs i
 
-(* The single choke point for edge accounting: every reference install
-   and overwrite (mutator stores, healing rewrites, evacuation scans)
-   lands here, so [inrefs] counts each live slot exactly once.  The
-   sentinel is never counted — its [inrefs] stays 0 forever. *)
 let set_field t i v =
   let fs = t.fields in
-  (* Same detached-array tolerance as [get_field]: a heal racing a
-     region release would otherwise write into a recycled array. *)
-  if i < Array.length fs then begin
-    let old = Array.unsafe_get fs i in
-    if old != v then begin
-      if old != null then old.inrefs <- old.inrefs - 1;
-      if v != null then v.inrefs <- v.inrefs + 1;
-      Array.unsafe_set fs i v
-    end
-  end
+  if i < 0 || i >= Array.length fs then bad_index "set_field" t i
+  else Array.unsafe_set fs i v
 
 let iter_fields f t =
   for i = 0 to Array.length t.fields - 1 do
@@ -262,151 +238,5 @@ let iter_fields f t =
 let pp fmt t =
   if is_null t then Format.fprintf fmt "<null>"
   else
-    Format.fprintf fmt "#%d(%dB r%d+%d%s)" t.id t.size t.region t.offset
+    Format.fprintf fmt "#%d(%dB r%d+%d%s)" t.id t.size t.region (offset t)
       (if is_forwarded t then " fwd" else "")
-
-(* ------------------------------------------------------------------ *)
-(* Pooling.                                                             *)
-
-(** Freelists for dead records and their field arrays, owned by
-    run-threaded heap state ({!Heap_impl.t}) — no DLS on the hot path.
-    [take_*] misses fall back to fresh host allocation, so a pool is
-    only ever an allocation cache, never a semantic dependency. *)
-module Pool = struct
-  type obj = t
-
-  (* Field arrays are bucketed by exact length; longer ones are left to
-     the host GC (rare: directory/segment fan-out objects). *)
-  let max_bucketed_nrefs = 128
-
-  type t = {
-    records : obj Util.Vec.t;
-    arrays : obj array Util.Vec.t array;  (** index = exact array length *)
-    mutable records_reused : int;
-    mutable arrays_reused : int;
-    mutable records_pooled : int;
-    mutable arrays_pooled : int;
-  }
-
-  let create () =
-    {
-      records = Util.Vec.create null;
-      arrays = Array.init (max_bucketed_nrefs + 1) (fun _ -> Util.Vec.create no_fields);
-      records_reused = 0;
-      arrays_reused = 0;
-      records_pooled = 0;
-      arrays_pooled = 0;
-    }
-
-  (** Detach [a] into its size bucket.  Cleared to {!null} here, at the
-      cold end (region release), so [take_array] hands back ready slots
-      and the pool retains no dead references. *)
-  let put_array p (a : obj array) =
-    let n = Array.length a in
-    if n > 0 && n <= max_bucketed_nrefs then begin
-      Array.fill a 0 n null;
-      Util.Vec.push p.arrays.(n) a;
-      p.arrays_pooled <- p.arrays_pooled + 1
-    end
-
-  (** An all-{!null} array of exactly [n] slots: recycled when the
-      bucket has one, freshly allocated otherwise. *)
-  let take_array p n =
-    if n = 0 then no_fields
-    else if n <= max_bucketed_nrefs && not (Util.Vec.is_empty p.arrays.(n))
-    then begin
-      p.arrays_reused <- p.arrays_reused + 1;
-      Util.Vec.pop_last p.arrays.(n)
-    end
-    else Array.make n null
-
-  let put_record p (o : obj) =
-    Util.Vec.push p.records o;
-    p.records_pooled <- p.records_pooled + 1
-
-  (** A record to reinitialize, or {!null} when the pool is empty. *)
-  let take_record p =
-    if Util.Vec.is_empty p.records then null
-    else begin
-      p.records_reused <- p.records_reused + 1;
-      Util.Vec.pop_last p.records
-    end
-
-  let stats p =
-    (p.records_reused, p.arrays_reused, p.records_pooled, p.arrays_pooled)
-end
-
-(** Pool-aware {!make_with}: the allocation fast path.  A recycled
-    record is reinitialized field-for-field like a literal and mints its
-    uid from the same handle, so the simulated state cannot tell a
-    pooled object from a fresh one. *)
-let alloc_with ~pool ~uids ~id ~size ~nrefs ~region ~offset =
-  let fields = Pool.take_array pool nrefs in
-  let c = Pool.take_record pool in
-  if c == null then
-    {
-      id;
-      uid = mint uids;
-      size;
-      fields;
-      region;
-      offset;
-      forward = null;
-      mark = 0;
-      ymark = 0;
-      age = 0;
-      flags = 0;
-      inrefs = 0;
-    }
-  else begin
-    c.id <- id;
-    c.uid <- mint uids;
-    c.size <- size;
-    c.fields <- fields;
-    c.region <- region;
-    c.offset <- offset;
-    c.forward <- null;
-    c.mark <- 0;
-    c.ymark <- 0;
-    c.age <- 0;
-    c.flags <- 0;
-    c.inrefs <- 0;
-    c
-  end
-
-(** Pool-aware copy record for relocation: logical identity, size, mark
-    state and flags carry over; the [fields] array is *shared* with [o]
-    (one logical set of slots); [inrefs] starts at 0 — healing migrates
-    each incoming edge from the old record through {!set_field}. *)
-let remake ~pool ~uids (o : t) ~age ~region ~offset =
-  let c = Pool.take_record pool in
-  if c == null then
-    {
-      id = o.id;
-      uid = mint uids;
-      size = o.size;
-      fields = o.fields;
-      region;
-      offset;
-      forward = null;
-      mark = o.mark;
-      ymark = o.ymark;
-      age;
-      flags = o.flags;
-      inrefs = 0;
-    }
-  else begin
-    c.id <- o.id;
-    c.uid <- mint uids;
-    c.size <- o.size;
-    c.fields <- o.fields;
-    c.region <- region;
-    c.offset <- offset;
-    c.forward <- null;
-    c.mark <- o.mark;
-    c.ymark <- o.ymark;
-    c.age <- age;
-    c.flags <- o.flags;
-    c.inrefs <- 0;
-    c
-  end

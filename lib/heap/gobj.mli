@@ -1,5 +1,5 @@
 (** Simulated heap objects: unboxed reference slots around a null
-    sentinel, with pooled records and field arrays.
+    sentinel, with a packed header.
 
     An object is a record holding real reference slots ([fields]) to other
     objects, so marking genuinely traverses the graph and evacuation
@@ -16,36 +16,35 @@
     healing replaces them with {!resolve}.  The new copy shares the
     [fields] array (the payload moved; there is one logical set of slots).
 
-    Dead records and field arrays are recycled through a {!Pool} owned by
-    {!Heap_impl.t} — see the ownership rules there and on {!Pool}.  The
-    record is concrete: collectors and the verifier read and mutate
-    fields directly on their hot paths (every field is [mutable] so
-    pooled records can be reinitialized in place). *)
+    Ownership.  A record is owned by the host GC: the simulator never
+    recycles one, so a stale reference to a dead or relocated record
+    always finds that record exactly as its region left it ([freed] or
+    forwarded), never a new identity.  Regions ({!Region.push_obj}), the
+    heap's marking ({!Heap_impl}) and relocation ({!set_forward}) are
+    the only writers, and they write through the setters below: the
+    record is [private], so everyone else reads.
 
-type t = {
-  mutable id : int;  (** logical identity, preserved across copies *)
-  mutable uid : int;  (** physical identity of this record — unique per
-                          copy, never reused (pooled records mint a fresh
-                          one); keys forwarding-install race checks *)
-  mutable size : int;  (** bytes, header included *)
-  mutable fields : t array;  (** reference slots; {!null} = empty *)
+    Layout.  Every simulated object is a host record that outlives the
+    host minor heap, so host promotion, marking and sweeping cost grows
+    with the record's size.  The record therefore holds eight fields
+    (nine host words with the header): the small per-object scalars are
+    packed, [offset | age | flags] in [hdr] and [mark | ymark] in
+    [marks], behind the accessors below.  Each setter rejects a value
+    that does not fit its packed field (age saturates instead), so a
+    field never bleeds into its neighbour. *)
+
+type t = private {
+  id : int;  (** logical identity, preserved across copies *)
+  uid : int;  (** physical identity of this record — unique per copy,
+                  never reused; keys forwarding-install race checks *)
+  size : int;  (** bytes, header included *)
+  fields : t array;  (** reference slots; {!null} = empty *)
   mutable region : int;
-  mutable offset : int;  (** byte offset of the header inside the region *)
   mutable forward : t;  (** newer copy; {!null} = not relocated *)
-  mutable mark : int;  (** epoch of the last old/full marking that reached it *)
-  mutable ymark : int;
-      (** epoch of the last *young* marking that reached it — young and
-          old cycles co-run, so their mark state must not alias *)
-  mutable age : int;  (** young collections survived *)
-  mutable flags : int;
-  mutable inrefs : int;
-      (** heap reference slots currently holding this record, maintained
-          at the {!set_field} choke point plus a decrement pass over
-          dying holders at region release.  Roots are deliberately not
-          counted: a root-reachable object is marked and hence forwarded
-          before its region is released, so the zero-[inrefs] recycling
-          test never sees it.  Gates record recycling only — never a
-          liveness source for the simulated collectors. *)
+  mutable hdr : int;
+      (** packed [offset | age | flags]; read through {!offset}, {!age}
+          and {!has_flag} *)
+  mutable marks : int;  (** packed [mark | ymark]; read through {!mark}, {!ymark} *)
 }
 
 (** {2 The null sentinel} *)
@@ -66,19 +65,43 @@ val slot_bytes : int
 val slot_shift : int
 (** log2 [slot_bytes]: card scans shift, not divide. *)
 
+val max_offset : int
+(** Largest byte offset the packed header holds; {!Heap_impl.config}
+    rejects regions whose offsets would not fit. *)
+
+val max_age : int
+(** Ages saturate here; collector configs reject a larger tenure age. *)
+
+val max_epoch : int
+(** Largest mark epoch the packed mark word holds; the heap refuses to
+    start a marking cycle past it. *)
+
+(** {2 Packed header} *)
+
+val offset : t -> int
+(** Byte offset of the header inside the region. *)
+
+val age : t -> int
+(** Collections survived (copies made), saturating at {!max_age}. *)
+
+val mark : t -> int
+(** Epoch of the last old/full marking that reached the object. *)
+
+val ymark : t -> int
+(** Epoch of the last *young* marking that reached it — young and old
+    cycles co-run, so their mark state must not alias. *)
+
+val place : t -> region:int -> offset:int -> unit
+(** Record the object's address ({!Region.push_obj}). *)
+
+val set_mark : t -> int -> unit
+val set_ymark : t -> int -> unit
+
 (** {2 Flag bits} *)
 
 val flag_weak_referent : int
 val flag_humongous : int
 val flag_freed : int
-
-val flag_in_fwd_table : int
-(** Set when an off-heap forwarding table (ZGC-style) takes a reference
-    to the record; never cleared, so such records are conservatively
-    excluded from recycling for the rest of the run. *)
-
-val no_fields : t array
-(** The shared empty field array (reference-free objects allocate none). *)
 
 (** {2 Physical identity (uids)}
 
@@ -121,10 +144,13 @@ val reset_uids : unit -> unit
 
 val make_with :
   uids:uids -> id:int -> size:int -> nrefs:int -> region:int -> offset:int -> t
-(** [make] with a cached uid handle; allocates fresh storage. *)
+(** A fresh, unmarked, unforwarded object with [nrefs] empty slots,
+    minting its uid through a cached handle. *)
 
-val make : id:int -> size:int -> nrefs:int -> region:int -> offset:int -> t
-(** Like {!make_with} but pays the DLS lookup; for cold paths and tests. *)
+val remake : uids:uids -> t -> age:int -> region:int -> offset:int -> t
+(** Copy record for relocation: logical identity, size, mark state and
+    flags carry over; the [fields] array is shared with the source (one
+    logical set of slots).  [age] saturates at {!max_age}. *)
 
 (** {2 Flags} *)
 
@@ -171,71 +197,15 @@ val field_offset : t -> int -> int
 
 val get_field : t -> int -> t
 (** The raw slot value: {!null} when empty, possibly a stale (forwarded)
-    record otherwise — callers resolve as needed.  Out-of-range indices
-    return {!null} rather than raising: pooling may detach a freed
-    object's field array mid card-scan, and the scan's remaining window
-    then reads an empty object. *)
+    record otherwise — callers resolve as needed.  Raises
+    [Invalid_argument] naming the object and index when [i] is out of
+    range. *)
 
 val set_field : t -> int -> t -> unit
-(** Store [v] ({!null} clears the slot).  The single choke point for
-    edge accounting: maintains the old and new referents' [inrefs] so
-    each live slot is counted exactly once.  Out-of-range stores are
-    dropped (same detached-array tolerance as {!get_field}). *)
+(** Store [v] ({!null} clears the slot).  Raises [Invalid_argument]
+    naming the object and index when [i] is out of range. *)
 
 val iter_fields : (int -> t -> unit) -> t -> unit
 (** Apply to each non-{!null} field (index, referent). *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {2 Pooling} *)
-
-(** Freelists for dead records and their field arrays, owned by
-    run-threaded heap state ({!Heap_impl.t}) — no DLS on the hot path.
-    [take_*] misses fall back to fresh host allocation, so a pool is
-    only ever an allocation cache, never a semantic dependency.
-    Recycling is invisible to the simulated level: reinitialization
-    matches a fresh literal and uids mint from the same counter. *)
-module Pool : sig
-  type obj = t
-
-  type t
-
-  val max_bucketed_nrefs : int
-  (** Field arrays longer than this are left to the host GC. *)
-
-  val create : unit -> t
-
-  val put_array : t -> obj array -> unit
-  (** Detach a dead holder's array into its exact-length bucket,
-      clearing it to {!null} (no dead references retained). *)
-
-  val take_array : t -> int -> obj array
-  (** An all-{!null} array of exactly [n] slots: recycled when the
-      bucket has one, freshly allocated otherwise. *)
-
-  val put_record : t -> obj -> unit
-
-  val take_record : t -> obj
-  (** A record to reinitialize, or {!null} when the pool is empty. *)
-
-  val stats : t -> int * int * int * int
-  (** [(records_reused, arrays_reused, records_pooled, arrays_pooled)] *)
-end
-
-val alloc_with :
-  pool:Pool.t ->
-  uids:uids ->
-  id:int ->
-  size:int ->
-  nrefs:int ->
-  region:int ->
-  offset:int ->
-  t
-(** Pool-aware {!make_with} — the allocation fast path. *)
-
-val remake : pool:Pool.t -> uids:uids -> t -> age:int -> region:int -> offset:int -> t
-(** Pool-aware copy record for relocation: logical identity, size, mark
-    state and flags carry over; the [fields] array is shared with the
-    source (one logical set of slots); [inrefs] starts at 0 — healing
-    migrates each incoming edge from the old record through
-    {!set_field}. *)

@@ -13,10 +13,6 @@ type config = {
   region_bytes : int;
   card_bytes : int;
   tlab_bytes : int;
-  pooling : bool;
-      (** recycle dead records and field arrays through the heap's
-          {!Gobj.Pool} (host-side only; simulated state is identical
-          either way — the flag exists for A/B allocation measurements) *)
 }
 
 let default_config =
@@ -25,19 +21,19 @@ let default_config =
     region_bytes = 512 * Util.Units.kib;
     card_bytes = 512;
     tlab_bytes = 32 * Util.Units.kib;
-    pooling = true;
   }
 
 let config ?(heap_bytes = default_config.heap_bytes)
     ?(region_bytes = default_config.region_bytes)
     ?(card_bytes = default_config.card_bytes)
-    ?(tlab_bytes = default_config.tlab_bytes)
-    ?(pooling = default_config.pooling) () =
+    ?(tlab_bytes = default_config.tlab_bytes) () =
   if heap_bytes mod region_bytes <> 0 then
     invalid_arg "Heap.config: heap_bytes must be a multiple of region_bytes";
   if region_bytes mod card_bytes <> 0 then
     invalid_arg "Heap.config: region_bytes must be a multiple of card_bytes";
-  { heap_bytes; region_bytes; card_bytes; tlab_bytes; pooling }
+  if region_bytes - 1 > Gobj.max_offset then
+    invalid_arg "Heap.config: region_bytes exceeds the object header's offset field";
+  { heap_bytes; region_bytes; card_bytes; tlab_bytes }
 
 type t = {
   cfg : config;
@@ -72,11 +68,6 @@ type t = {
   mutable used : int;
       (** sum of non-free regions' bump pointers, maintained incrementally
           so {!used_bytes} is O(1) instead of a region-array fold *)
-  pool : Gobj.Pool.t;
-      (** freelists of dead records and field arrays, harvested at
-          {!release_region} and drained by {!alloc_in} / evacuation
-          copies — run-threaded like [uids] and [hooks], so the hot
-          path never touches DLS *)
   mutable weak_refs : (Gobj.t * (unit -> unit) option) Util.Vec.t;
       (** registered weak references: referent + optional callback *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
@@ -148,7 +139,6 @@ let create ?(costs = Costs.default) cfg =
     allocate_live_young = false;
     bytes_allocated = 0;
     used = 0;
-    pool = Gobj.Pool.create ();
     weak_refs = Util.Vec.create (Gobj.null, None);
     on_region_event = None;
   }
@@ -221,7 +211,7 @@ let scan_card t card ~f =
     Region.iter_objects_in_range r ~off ~len:t.cfg.card_bytes (fun o ->
         let nf = Gobj.num_fields o in
         if nf > 0 then begin
-          let base = o.Gobj.offset + Gobj.header_bytes in
+          let base = Gobj.offset o + Gobj.header_bytes in
           let lo =
             if base >= off then 0
             else (off - base + Gobj.slot_bytes - 1) lsr Gobj.slot_shift
@@ -297,46 +287,6 @@ let release_region t (r : Region.t) =
         ~site:"Heap_impl.clean_card"
     done;
   Util.Bitset.clear_range t.card_dirty ~lo:c0 ~hi:(c0 + cpr);
-  (* Harvest dead residents into the pool.  Unforwarded residents at
-     release time are exactly the dead ones: every live (marked or
-     born-during-cycle) object was copied out before its region is
-     released, so it carries a forwarding pointer.  Two passes keep the
-     edge accounting exactly-once: first retire each dying holder's
-     outgoing edges (forwarded holders are skipped — their shared
-     [fields] array belongs to the live copy now), then recycle storage.
-     Field arrays of dead holders are always safe to take (dangling-edge
-     guards test [is_freed] before any field read); records only when no
-     stale edge, weak registration or off-heap forwarding table can
-     still name them.  Skipped while any marking runs: SATB queues and
-     mark stacks may hold bare references that bypass [inrefs].
-     Host-side only — no events, no ticks, no simulated state. *)
-  if t.cfg.pooling && (not t.allocate_live) && not t.allocate_live_young
-  then begin
-    let pool = t.pool in
-    Util.Vec.iter
-      (fun (o : Gobj.t) ->
-        if not (Gobj.is_forwarded o) then begin
-          let fs = o.Gobj.fields in
-          for i = 0 to Array.length fs - 1 do
-            let c = Array.unsafe_get fs i in
-            if c != Gobj.null then c.Gobj.inrefs <- c.Gobj.inrefs - 1
-          done
-        end)
-      r.Region.objects;
-    Util.Vec.iter
-      (fun (o : Gobj.t) ->
-        if not (Gobj.is_forwarded o) then begin
-          Gobj.Pool.put_array pool o.Gobj.fields;
-          o.Gobj.fields <- Gobj.no_fields;
-          if
-            o.Gobj.inrefs = 0
-            && not
-                 (Gobj.has_flag o
-                    (Gobj.flag_weak_referent lor Gobj.flag_in_fwd_table))
-          then Gobj.Pool.put_record pool o
-        end)
-      r.Region.objects
-  end;
   t.used <- t.used - r.top;
   Region.reset r;
   record_region_event r.rid "release";
@@ -366,11 +316,10 @@ let alloc_in t (r : Region.t) ?id ~size ~nrefs () =
          r.top r.size);
   let id = match id with Some id -> id | None -> fresh_obj_id t in
   let o =
-    Gobj.alloc_with ~pool:t.pool ~uids:t.uids ~id ~size ~nrefs ~region:r.rid
-      ~offset:r.top
+    Gobj.make_with ~uids:t.uids ~id ~size ~nrefs ~region:r.rid ~offset:r.top
   in
-  if t.allocate_live then o.mark <- t.mark_epoch;
-  if t.allocate_live_young then o.ymark <- t.young_epoch;
+  if t.allocate_live then Gobj.set_mark o t.mark_epoch;
+  if t.allocate_live_young then Gobj.set_ymark o t.young_epoch;
   Region.push_obj r o;
   t.bytes_allocated <- t.bytes_allocated + size;
   t.used <- t.used + size;
@@ -383,12 +332,21 @@ let object_size ~nrefs ~data_bytes =
 (* ------------------------------------------------------------------ *)
 (* Marking support.                                                     *)
 
+(* Epochs live in a packed mark word: refuse to start a cycle whose
+   epoch would not fit rather than wrap and resurrect stale marks. *)
+let next_epoch what e =
+  if e >= Gobj.max_epoch then
+    failwith
+      (Printf.sprintf "Heap_impl.%s: mark epoch %d would overflow (max %d)"
+         what e Gobj.max_epoch);
+  e + 1
+
 (** Start a marking cycle.  [scope] restricts which regions' liveness
     accounting is reset and later published — a generational young
     collection marks only young regions and must not clobber the old
     generation's results from its own marking cycle. *)
 let begin_mark ?(scope = fun (_ : Region.t) -> true) t =
-  t.mark_epoch <- t.mark_epoch + 1;
+  t.mark_epoch <- next_epoch "begin_mark" t.mark_epoch;
   t.allocate_live <- true;
   Array.iter
     (fun (r : Region.t) ->
@@ -410,16 +368,16 @@ let end_mark ?(scope = fun (_ : Region.t) -> true) t =
            else r.marking_live))
     t.regions
 
-let is_marked t (o : Gobj.t) = o.mark >= t.mark_epoch
+let is_marked t (o : Gobj.t) = Gobj.mark o >= t.mark_epoch
 
 (** Mark [o] in the current old epoch; returns false if it already was.
     Also accounts region live bytes and sets the region's live bitmap. *)
 let mark_object t (o : Gobj.t) =
-  if o.mark >= t.mark_epoch then false
+  if Gobj.mark o >= t.mark_epoch then false
   else begin
     Access.log_with t.hooks Access.Atomic Access.Mark_bit ~key:o.uid
       ~site:"Heap_impl.mark_object";
-    o.mark <- t.mark_epoch;
+    Gobj.set_mark o t.mark_epoch;
     let r = t.regions.(o.region) in
     r.marking_live <- r.marking_live + o.size;
     Region.livemap_mark r o;
@@ -430,7 +388,7 @@ let mark_object t (o : Gobj.t) =
    young cycle can overlap an old cycle without corrupting it. -------- *)
 
 let begin_young_mark t =
-  t.young_epoch <- t.young_epoch + 1;
+  t.young_epoch <- next_epoch "begin_young_mark" t.young_epoch;
   t.allocate_live_young <- true;
   Array.iter
     (fun (r : Region.t) ->
@@ -440,14 +398,14 @@ let begin_young_mark t =
 
 let end_young_mark t = t.allocate_live_young <- false
 
-let is_marked_young t (o : Gobj.t) = o.ymark >= t.young_epoch
+let is_marked_young t (o : Gobj.t) = Gobj.ymark o >= t.young_epoch
 
 let mark_object_young t (o : Gobj.t) =
-  if o.ymark >= t.young_epoch then false
+  if Gobj.ymark o >= t.young_epoch then false
   else begin
     Access.log_with t.hooks Access.Atomic Access.Mark_bit ~key:o.uid
       ~site:"Heap_impl.mark_object_young";
-    o.ymark <- t.young_epoch;
+    Gobj.set_ymark o t.young_epoch;
     let r = t.regions.(o.region) in
     r.marking_live <- r.marking_live + o.size;
     true

@@ -13,10 +13,6 @@ type config = {
   region_bytes : int;
   card_bytes : int;
   tlab_bytes : int;
-  pooling : bool;
-      (** recycle dead records and field arrays through the heap's
-          {!Gobj.Pool} (host-side only; simulated state is identical
-          either way — the flag exists for A/B allocation measurements) *)
 }
 
 val default_config : config
@@ -26,13 +22,12 @@ val config :
   ?region_bytes:int ->
   ?card_bytes:int ->
   ?tlab_bytes:int ->
-  ?pooling:bool ->
   unit ->
   config
 (** Validated constructor: [heap_bytes] must be a multiple of
-    [region_bytes], which must be a multiple of [card_bytes].
-    [pooling] (default on) recycles dead records/arrays at region
-    release — host allocation behavior only, never simulated state. *)
+    [region_bytes], which must be a multiple of [card_bytes], and every
+    offset inside a region must fit the object header
+    ({!Gobj.max_offset}). *)
 
 type t = {
   cfg : config;
@@ -67,11 +62,6 @@ type t = {
   mutable used : int;
       (** sum of non-free regions' bump pointers, maintained incrementally
           so {!used_bytes} is O(1) instead of a region-array fold *)
-  pool : Gobj.Pool.t;
-      (** freelists of dead records and field arrays, harvested at
-          {!release_region} and drained by {!alloc_in} / evacuation
-          copies — run-threaded like [uids] and [hooks], so the hot
-          path never touches DLS *)
   mutable weak_refs : (Gobj.t * (unit -> unit) option) Util.Vec.t;
       (** registered weak references: referent + optional callback *)
   mutable on_region_event : (Region.t -> claimed:bool -> unit) option;
@@ -140,11 +130,8 @@ val claim_region : t -> Region.kind -> Region.t option
 
 val release_region : t -> Region.t -> unit
 (** Release a region back to the free list; resident (non-evacuated)
-    objects become garbage, the region's own cards are cleaned.  With
-    [cfg.pooling], dead residents' records and field arrays are
-    harvested into the heap's pool (see {!Gobj.Pool} for the ownership
-    rules) — skipped while any marking co-runs, since SATB queues and
-    mark stacks hold bare references that bypass the edge counts. *)
+    objects become garbage (flagged [freed]), the region's own cards are
+    cleaned. *)
 
 val set_region_observer : t -> (Region.t -> claimed:bool -> unit) option -> unit
 (** Install or remove the region-lifecycle observer ({!t.on_region_event}). *)
@@ -173,7 +160,8 @@ val object_size : nrefs:int -> data_bytes:int -> int
 (** {2 Marking support} *)
 
 val begin_mark : ?scope:(Region.t -> bool) -> t -> int
-(** Start a marking cycle; returns the new epoch.  [scope] restricts
+(** Start a marking cycle; returns the new epoch.  Fails rather than
+    start an epoch past {!Gobj.max_epoch}.  [scope] restricts
     which regions' liveness accounting is reset and later published — a
     generational young collection marks only young regions and must not
     clobber the old generation's results from its own marking cycle. *)
@@ -186,7 +174,8 @@ val mark_object : t -> Gobj.t -> bool
     Also accounts region live bytes and sets the region's live bitmap. *)
 
 (** Young-generation marking: an independent mark word and epoch so a
-    young cycle can overlap an old cycle without corrupting it. *)
+    young cycle can overlap an old cycle without corrupting it.  The
+    young epoch has the same {!Gobj.max_epoch} bound. *)
 
 val begin_young_mark : t -> int
 val end_young_mark : t -> unit

@@ -100,8 +100,7 @@ let[@inline] card_index t off =
     one shift and one compare.  Amortized O(1): every BOT entry is
     written at most once per region lifetime. *)
 let push_obj t (o : Gobj.t) =
-  o.region <- t.rid;
-  o.offset <- t.top;
+  Gobj.place o ~region:t.rid ~offset:t.top;
   let idx = Util.Vec.length t.objects in
   Util.Vec.push t.objects o;
   if o.size > 0 then begin
@@ -133,10 +132,12 @@ let livemap_get t =
       m
 
 let livemap_mark t (o : Gobj.t) =
-  ignore (Util.Bitset.set (livemap_get t) (o.offset / 8))
+  ignore (Util.Bitset.set (livemap_get t) (Gobj.offset o / 8))
 
 let livemap_is_marked t (o : Gobj.t) =
-  match t.livemap with None -> false | Some m -> Util.Bitset.get m (o.offset / 8)
+  match t.livemap with
+  | None -> false
+  | Some m -> Util.Bitset.get m (Gobj.offset o / 8)
 
 let livemap_clear t = match t.livemap with None -> () | Some m -> Util.Bitset.clear_all m
 
@@ -160,7 +161,7 @@ let first_object_at t ~off =
         !i < n
         &&
         let o = Util.Vec.get t.objects !i in
-        o.offset + o.size <= off
+        Gobj.offset o + o.size <= off
       do
         incr i
       done;
@@ -171,12 +172,11 @@ let first_object_at t ~off =
          the card's end, found by binary search (cold path — only freshly
          reset or humongous-tail gaps hit it). *)
       let i =
-        Util.Vec.find_first_geq t.objects ~key:off ~of_elt:(fun (o : Gobj.t) ->
-            o.offset)
+        Util.Vec.find_first_geq t.objects ~key:off ~of_elt:Gobj.offset
       in
       if i > 0 then
         let prev = Util.Vec.get t.objects (i - 1) in
-        if prev.offset + prev.size > off then i - 1 else i
+        if Gobj.offset prev + prev.size > off then i - 1 else i
       else i
     end
   end
@@ -192,7 +192,7 @@ let iter_objects_in_range t ~off ~len f =
   let continue_ = ref true in
   while !continue_ && !i < Util.Vec.length t.objects do
     let o = Util.Vec.get t.objects !i in
-    if o.offset >= stop then continue_ := false
+    if Gobj.offset o >= stop then continue_ := false
     else begin
       f o;
       incr i

@@ -246,7 +246,7 @@ let get_root m i =
 (** Drop stack roots above index [n] (end-of-request cleanup). *)
 let truncate_roots m n =
   while Util.Vec.length m.roots > n do
-    ignore (Util.Vec.pop m.roots)
+    ignore (Util.Vec.pop_last m.roots)
   done
 
 let clear_roots m = Util.Vec.clear m.roots

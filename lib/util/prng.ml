@@ -5,27 +5,38 @@
     same configuration and seed produce byte-identical results.  splitmix64
     is small, fast, passes BigCrush, and supports cheap stream splitting. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer, read and written
+   with the raw 64-bit bytes primitives: a [mutable state : int64]
+   field would box a fresh [Int64] on every draw. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let copy t = { state = t.state }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+
+let copy t = Bytes.copy t
 
 (* Core splitmix64 step (Steele, Lea & Flood 2014). *)
-let next_int64 t =
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (get_state t 0) 0x9E3779B97F4A7C15L in
+  set_state t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
 (** [split t] derives an independent generator; used to give each thread or
     mutator its own stream without sharing mutable state. *)
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 (** Non-negative int uniform in [0, 2^62). *)
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 (** [int t n] is uniform in [0, n). Requires [n > 0]. *)
 let int t n =
@@ -38,8 +49,8 @@ let int_in t lo hi =
   lo + int t (hi - lo + 1)
 
 (** Uniform float in [0, 1). *)
-let float t = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
-              *. 0x1.0p-53
+let[@inline] float t =
+  Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1.0p-53
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 

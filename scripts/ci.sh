@@ -154,3 +154,23 @@ dune exec bench/main.exe -- --quick speed \
   --baseline /tmp/ci_speed_baseline.json --fail-under 0.5 \
   --fail-alloc-over 1.10
 git checkout -- BENCH_speed_quick.json 2>/dev/null || true
+
+echo "== benchmark fence (perfbench fingerprint repeat + zero perturbation) =="
+# A short run of the repository benchmark's schedule-exploration
+# workload: every timed pass must reproduce the first pass's per-run
+# simulated fingerprint, so this asserts same-seed repeatability and
+# (through the benchmark's own observers) zero perturbation end to end.
+# The result line must report correct: true and no failed operation.
+python3 perfbench/run.py --workload check-avrora-tight --seconds 2 --trace 0 \
+  > /tmp/ci_perfbench.txt
+tail -n 1 /tmp/ci_perfbench.txt | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+ok = r.get("correct") is True and r.get("failed") == 0
+print("perfbench check-avrora-tight: correct=%s failed=%s" % (r.get("correct"), r.get("failed")))
+sys.exit(0 if ok else 1)
+' || {
+  echo "benchmark fence FAILED: result line is not correct/0 failed" >&2
+  cat /tmp/ci_perfbench.txt >&2
+  exit 1
+}

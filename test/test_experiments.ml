@@ -60,8 +60,7 @@ let test_machine_scales_with_mult () =
   in
   Alcotest.(check bool) "monotone in mult" true (at 1.5 < at 2.0 && at 2.0 < at 4.0)
 
-(* Small fixed-request app shared by the determinism and pooling
-   fences below. *)
+(* Small fixed-request app shared by the determinism fences below. *)
 let det_app : Workload.Apps.t =
   {
     Workload.Apps.name = "det";
@@ -85,10 +84,10 @@ let det_app : Workload.Apps.t =
       };
   }
 
-let run_det ?(pooling = true) () =
+let run_det () =
   let machine =
     { Experiments.Harness.default_machine with
-      Experiments.Harness.heap_bytes = 16 * mib; cores = 2; pooling }
+      Experiments.Harness.heap_bytes = 16 * mib; cores = 2 }
   in
   Experiments.Harness.run_fixed ~machine
     ~install:(fun rt -> ignore (Jade.Collector.install rt))
@@ -136,16 +135,13 @@ let fingerprint (s : Experiments.Harness.summary) =
     pauses,
     counters )
 
-(* Record/array pooling is host allocation behavior only: a pooled
-   rerun must fingerprint identically (freelist order is deterministic)
-   and pooled vs unpooled must fingerprint identically (recycling never
-   leaks into a simulated number). *)
-let test_pooling_invisible () =
-  let pooled = fingerprint (run_det ~pooling:true ()) in
-  let pooled' = fingerprint (run_det ~pooling:true ()) in
-  let unpooled = fingerprint (run_det ~pooling:false ()) in
-  Alcotest.(check bool) "pooled rerun identical" true (pooled = pooled');
-  Alcotest.(check bool) "pooling simulation-invisible" true (pooled = unpooled)
+(* A same-seed rerun in one process must fingerprint identically:
+   nothing host-side (uid counters, per-heap caches, the host GC) may
+   leak into a simulated number. *)
+let test_rerun_identical () =
+  let a = fingerprint (run_det ()) in
+  let b = fingerprint (run_det ()) in
+  Alcotest.(check bool) "same-seed rerun identical" true (a = b)
 
 let test_summary_cpu_split () =
   let app = Workload.Apps.find "avrora" in
@@ -178,6 +174,6 @@ let () =
           Alcotest.test_case "deterministic summary" `Slow
             test_fixed_run_deterministic_summary;
           Alcotest.test_case "cpu split" `Slow test_summary_cpu_split;
-          Alcotest.test_case "pooling invisible" `Slow test_pooling_invisible;
+          Alcotest.test_case "rerun identical" `Slow test_rerun_identical;
         ] );
     ]

@@ -66,7 +66,6 @@ let small_machine =
     region_bytes = 256 * kib;
     quantum = 20 * us;
     seed = 11;
-    pooling = true;
   }
 
 let test_zero_policy_is_bit_identical () =

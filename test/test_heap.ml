@@ -97,7 +97,7 @@ let test_object_offsets_sorted () =
   let r = claim_exn heap Region.Young in
   let sizes = [ 64; 128; 32; 256; 48 ] in
   let objs = List.map (fun s -> alloc heap r ~size:s ~nrefs:0) sizes in
-  let offsets = List.map (fun (o : Gobj.t) -> o.Gobj.offset) objs in
+  let offsets = List.map Gobj.offset objs in
   Alcotest.(check (list int)) "bump offsets" [ 0; 64; 192; 224; 480 ] offsets
 
 let test_forwarding_resolve () =
@@ -106,8 +106,8 @@ let test_forwarding_resolve () =
   let a = alloc heap r ~size:64 ~nrefs:0 in
   let b = alloc heap r ~size:64 ~nrefs:0 in
   let c = alloc heap r ~size:64 ~nrefs:0 in
-  a.Gobj.forward <- b;
-  b.Gobj.forward <- c;
+  Gobj.set_forward a b;
+  Gobj.set_forward b c;
   Alcotest.(check bool) "resolve follows chain" true (Gobj.resolve a == c);
   Alcotest.(check int) "depth" 2 (Gobj.forward_depth a);
   Alcotest.(check bool) "unforwarded resolves to self" true (Gobj.resolve c == c)
@@ -308,7 +308,7 @@ let first_object_at_model =
              if i >= n then n
              else
                let o = Util.Vec.get r.Region.objects i in
-               if o.Gobj.offset + o.Gobj.size > off then i else go (i + 1)
+               if Gobj.offset o + o.Gobj.size > off then i else go (i + 1)
            in
            go 0
          in
@@ -417,7 +417,7 @@ let test_weak_follows_forwarding () =
   let r2 = claim_exn heap Region.Old in
   let old_copy = alloc heap r1 ~size:64 ~nrefs:0 in
   let new_copy = alloc heap r2 ~size:64 ~nrefs:0 in
-  old_copy.Gobj.forward <- new_copy;
+  Gobj.set_forward old_copy new_copy;
   Heap_impl.register_weak heap old_copy ~callback:None;
   Heap_impl.release_region heap r1;
   (* The referent moved before its region was freed: it survives. *)
@@ -504,12 +504,12 @@ let test_forwarding_table () =
   Alcotest.(check int) "entries" 1 (Forwarding.entries fwd)
 
 (* ------------------------------------------------------------------ *)
-(* Null sentinel + record pool. *)
+(* Object model: null sentinel, strict accessors, packed header. *)
 
 (* The sentinel must stay inert under arbitrary heap traffic: never
    marked, never forwarded, never surfaced by field iteration or card
    scans (so no tracer can enqueue it — barrier SATB paths test against
-   it explicitly), never edge-counted, and invisible to used-bytes.
+   it explicitly), and invisible to used-bytes.
    Random alloc/link/mark/scan/release sequences probe all of that at
    once; the [pure] wrapper keeps each QCheck case independent. *)
 let sentinel_model =
@@ -569,59 +569,204 @@ let sentinel_model =
              done)
            arr;
          let used_after = Heap_impl.used_bytes heap in
-         (* Release triggers the pool harvest (pooling defaults on);
-            the sentinel must survive it untouched too. *)
+         (* Release flags every resident freed; the sentinel must
+            survive it untouched too. *)
          Heap_impl.release_region heap r;
          (not !saw_null) && used_before = used_after
          && (not (Heap_impl.is_marked heap Gobj.null))
          && (not (Gobj.is_forwarded Gobj.null))
          && Gobj.null.Gobj.forward == Gobj.null
-         && Gobj.null.Gobj.inrefs = 0
          && (not (Gobj.is_freed Gobj.null))
          && Gobj.num_fields Gobj.null = 0))
 
-(* The record pool must actually recycle (the fence below is vacuous
-   otherwise) and recycling must be deterministic: the same
-   alloc/link/release sequence on two fresh heaps mints the same uid
-   stream and the same field-array lengths, recycled records included. *)
-let test_pool_recycles_deterministically () =
-  let build () =
-    let heap = mk_heap () in
-    let uids = ref [] in
-    let note (o : Gobj.t) = uids := (o.Gobj.uid, Gobj.num_fields o) :: !uids in
-    let r = claim_exn heap Region.Old in
-    let dead = alloc heap r ~size:64 ~nrefs:3 in
-    note dead;
-    Heap_impl.release_region heap r;
-    (* The freed record and its 3-slot array sit in the pool now. *)
-    let r2 = claim_exn heap Region.Old in
-    let recycled = alloc heap r2 ~size:64 ~nrefs:3 in
-    note recycled;
-    let same_record = recycled == dead in
-    for _ = 1 to 20 do
-      if Region.fits r2 96 then note (alloc heap r2 ~size:96 ~nrefs:2)
-    done;
-    (same_record, List.rev !uids)
-  in
-  let same_a, uids_a = build () in
-  let same_b, uids_b = build () in
-  Alcotest.(check bool) "pool recycled the dead record" true same_a;
-  Alcotest.(check bool) "recycling deterministic across heaps" true
-    (same_a = same_b && uids_a = uids_b);
-  (* A recycled record is born live with a fresh uid. *)
-  (match uids_a with
-  | (u_dead, _) :: (u_recycled, nf) :: _ ->
-      Alcotest.(check bool) "fresh uid on recycle" true (u_recycled <> u_dead);
-      Alcotest.(check int) "field array length restored" 3 nf
-  | _ -> Alcotest.fail "uid stream too short");
-  (* Pooling off: the same sequence mints fresh records. *)
-  let heap = Heap_impl.create (Heap_impl.config ~pooling:false ()) in
+(* Accessors are strict: an index outside [0, num_fields) is a bug in
+   the caller (a stale window, an off-by-one), never an empty slot, so
+   it must raise with the object and index named instead of reading
+   null or dropping the store. *)
+let test_strict_accessors () =
+  let heap = mk_heap () in
   let r = claim_exn heap Region.Old in
-  let dead = alloc heap r ~size:64 ~nrefs:3 in
-  Heap_impl.release_region heap r;
-  let r2 = claim_exn heap Region.Old in
-  let fresh = alloc heap r2 ~size:64 ~nrefs:3 in
-  Alcotest.(check bool) "pooling off never recycles" true (fresh != dead)
+  let o = alloc heap r ~size:64 ~nrefs:2 in
+  let v = alloc heap r ~size:32 ~nrefs:0 in
+  List.iter
+    (fun i ->
+      let msg op =
+        Invalid_argument
+          (Printf.sprintf "Gobj.%s: field %d of object #%d (uid %d) out of range [0, 2)"
+             op i o.Gobj.id o.Gobj.uid)
+      in
+      Alcotest.check_raises "store past the range raises" (msg "set_field") (fun () ->
+          Gobj.set_field o i v);
+      Alcotest.check_raises "read past the range raises" (msg "get_field") (fun () ->
+          ignore (Gobj.get_field o i)))
+    [ 2; 3; -1; min_int ];
+  (* The rejected stores left every in-range slot empty. *)
+  Alcotest.(check bool) "no slot written" true
+    (Gobj.is_null (Gobj.get_field o 0) && Gobj.is_null (Gobj.get_field o 1));
+  Gobj.set_field o 1 v;
+  Alcotest.(check bool) "in-range store lands" true (Gobj.get_field o 1 == v)
+
+(* The packed header must behave exactly like separate fields: random
+   sequences of its writers (address, marks, flags, relocation copies;
+   in range, at the limits and past them) against a naive unpacked
+   model.  A writer either applies its value (ages saturate) or raises
+   without touching anything, and no value bleeds into a neighbour. *)
+type model = {
+  m_offset : int;
+  m_region : int;
+  m_age : int;
+  m_flags : int;
+  m_mark : int;
+  m_ymark : int;
+}
+
+let packed_layout_model =
+  let open QCheck2.Gen in
+  let value limit =
+    oneof
+      [
+        int_range 0 (min limit 1000);
+        oneofl [ 0; limit; limit + 1; -1; min_int; max_int ];
+        int_range 0 limit;
+      ]
+  in
+  let flag =
+    oneofl
+      [ Gobj.flag_weak_referent; Gobj.flag_humongous; Gobj.flag_freed; 8; 0x80; 0x100; -1 ]
+  in
+  let op =
+    oneof
+      [
+        map2 (fun r v -> `Place (r, v)) (int_range (-1) 100) (value Gobj.max_offset);
+        map2 (fun a v -> `Remake (a, v)) (value Gobj.max_age) (value Gobj.max_offset);
+        map (fun v -> `Mark v) (value Gobj.max_epoch);
+        map (fun v -> `Ymark v) (value Gobj.max_epoch);
+        map (fun f -> `Set f) flag;
+        map (fun f -> `Clear f) flag;
+      ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"packed header matches unpacked model"
+       (list_size (int_range 1 60) op)
+       (fun ops ->
+         let uids = ref 0 in
+         let o = ref (Gobj.make_with ~uids ~id:7 ~size:64 ~nrefs:1 ~region:3 ~offset:128) in
+         let check m =
+           let o = !o in
+           Gobj.offset o = m.m_offset && o.Gobj.region = m.m_region
+           && Gobj.age o = m.m_age && Gobj.mark o = m.m_mark
+           && Gobj.ymark o = m.m_ymark
+           && List.for_all
+                (fun f -> Gobj.has_flag o f = (m.m_flags land f <> 0))
+                [ 1; 2; 4; 8; 16; 32; 64; 128 ]
+           && o.Gobj.id = 7 && o.Gobj.size = 64
+           && Gobj.num_fields o = 1
+           && not (Gobj.is_forwarded o)
+         in
+         let step m op =
+           let attempt f m' = match f () with () -> m' | exception Invalid_argument _ -> m in
+           let ok_flag f = f land lnot 0xff = 0 in
+           match op with
+           | `Place (r, v) ->
+               attempt
+                 (fun () -> Gobj.place !o ~region:r ~offset:v)
+                 { m with m_offset = v; m_region = r }
+           | `Remake (a, v) ->
+               attempt
+                 (fun () ->
+                   o := Gobj.remake ~uids !o ~age:a ~region:m.m_region ~offset:v)
+                 { m with m_age = min a Gobj.max_age; m_offset = v }
+           | `Mark v -> attempt (fun () -> Gobj.set_mark !o v) { m with m_mark = v }
+           | `Ymark v -> attempt (fun () -> Gobj.set_ymark !o v) { m with m_ymark = v }
+           | `Set f ->
+               let m' = if ok_flag f then { m with m_flags = m.m_flags lor f } else m in
+               attempt (fun () -> Gobj.set_flag !o f) m'
+           | `Clear f ->
+               let m' =
+                 if ok_flag f then { m with m_flags = m.m_flags land lnot f } else m
+               in
+               attempt (fun () -> Gobj.clear_flag !o f) m'
+         in
+         let m0 =
+           { m_offset = 128; m_region = 3; m_age = 0; m_flags = 0; m_mark = 0; m_ymark = 0 }
+         in
+         check m0
+         && snd
+              (List.fold_left
+                 (fun (m, ok) op ->
+                   let m = step m op in
+                   (m, ok && check m))
+                 (m0, true) ops)))
+
+(* The record must not quietly grow back: eight fields (nine host words
+   with the block header) for a fresh object and a relocated copy. *)
+let test_record_size () =
+  let heap = mk_heap () in
+  let r = claim_exn heap Region.Old in
+  let o = alloc heap r ~size:64 ~nrefs:1 in
+  let copy =
+    Gobj.remake ~uids:heap.Heap_impl.uids o ~age:(Gobj.age o + 1)
+      ~region:r.Region.rid ~offset:r.Region.top
+  in
+  Alcotest.(check bool) "fresh record <= 8 fields" true (Obj.size (Obj.repr o) <= 8);
+  Alcotest.(check bool) "copy record <= 8 fields" true (Obj.size (Obj.repr copy) <= 8);
+  Alcotest.(check bool) "copy shares the slots" true (copy.Gobj.fields == o.Gobj.fields)
+
+(* Values that cannot fit their packed field are refused where they
+   enter: region geometry at config time, epochs before they wrap,
+   tenure ages at collector install; ages themselves saturate. *)
+let test_packed_limits () =
+  let big = 2 * (Gobj.max_offset + 1) in
+  Alcotest.check_raises "region offsets must fit the header"
+    (Invalid_argument
+       "Heap.config: region_bytes exceeds the object header's offset field")
+    (fun () -> ignore (Heap_impl.config ~heap_bytes:big ~region_bytes:big ()));
+  let heap = mk_heap () in
+  heap.Heap_impl.mark_epoch <- Gobj.max_epoch - 1;
+  Alcotest.(check int) "last epoch starts" Gobj.max_epoch (Heap_impl.begin_mark heap);
+  Heap_impl.end_mark heap;
+  (match Heap_impl.begin_mark heap with
+  | _ -> Alcotest.fail "old epoch wrapped"
+  | exception Failure _ -> ());
+  heap.Heap_impl.young_epoch <- Gobj.max_epoch;
+  (match Heap_impl.begin_young_mark heap with
+  | _ -> Alcotest.fail "young epoch wrapped"
+  | exception Failure _ -> ());
+  let r = claim_exn heap Region.Old in
+  let o = alloc heap r ~size:64 ~nrefs:0 in
+  let copy =
+    Gobj.remake ~uids:heap.Heap_impl.uids o ~age:(Gobj.max_age + 5)
+      ~region:r.Region.rid ~offset:r.Region.top
+  in
+  Alcotest.(check int) "age saturates" Gobj.max_age (Gobj.age copy);
+  let rt =
+    Runtime.Rt.create ~seed:1 ~engine:(Sim.Engine.create ~cores:1 ()) ~heap:(mk_heap ()) ()
+  in
+  let too_old = Gobj.max_age + 1 in
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted tenure_age %d" name too_old
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "G1" (fun () ->
+      ignore
+        (Collectors.G1.install
+           ~config:{ Collectors.G1.default_config with Collectors.G1.tenure_age = too_old }
+           rt));
+  rejects "LXR" (fun () ->
+      ignore
+        (Collectors.Lxr.install
+           ~config:{ Collectors.Lxr.default_config with Collectors.Lxr.tenure_age = too_old }
+           rt));
+  rejects "Young_gen" (fun () ->
+      ignore
+        (Collectors.Young_gen.create ~tenure_age:too_old
+           ~style:Collectors.Young_gen.Lazy_healing rt));
+  rejects "Jade" (fun () ->
+      ignore
+        (Jade.Collector.install
+           ~config:{ Jade.Jade_config.default with Jade.Jade_config.tenure_age = too_old }
+           rt))
 
 let () =
   Alcotest.run "heap"
@@ -677,10 +822,12 @@ let () =
           Alcotest.test_case "remset" `Quick test_remset;
           Alcotest.test_case "forwarding table" `Quick test_forwarding_table;
         ] );
-      ( "sentinel+pool",
+      ( "object model",
         [
           sentinel_model;
-          Alcotest.test_case "pool recycles deterministically" `Quick
-            test_pool_recycles_deterministically;
+          Alcotest.test_case "strict accessors" `Quick test_strict_accessors;
+          packed_layout_model;
+          Alcotest.test_case "record size" `Quick test_record_size;
+          Alcotest.test_case "packed limits" `Quick test_packed_limits;
         ] );
     ]

@@ -104,7 +104,6 @@ let sweep_machine =
     region_bytes = 256 * kib;
     quantum = 20 * us;
     seed = 11;
-    pooling = true;
   }
 
 let render_sweep ~jobs =

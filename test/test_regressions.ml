@@ -7,8 +7,8 @@ let kib = Util.Units.kib
 let mib = Util.Units.mib
 let ms = Util.Units.ms
 
-let mk_heap ?(heap_bytes = 4 * mib) ?(region_bytes = 256 * kib) ?pooling () =
-  Heap_impl.create (Heap_impl.config ~heap_bytes ~region_bytes ?pooling ())
+let mk_heap ?(heap_bytes = 4 * mib) ?(region_bytes = 256 * kib) () =
+  Heap_impl.create (Heap_impl.config ~heap_bytes ~region_bytes ())
 
 let claim_exn heap kind =
   match Heap_impl.claim_region heap kind with
@@ -105,11 +105,7 @@ let test_full_compact_with_zero_free_regions () =
    exactly the roots. *)
 let test_unrooted_handles_are_collected () =
   let engine = Sim.Engine.create ~cores:2 () in
-  (* Pooling off: this test inspects a dead object through a host-held
-     unrooted handle, which is exactly the kind of reference the record
-     pool's ownership contract excludes — recycling could legitimately
-     turn the dead record back into a live one. *)
-  let heap = mk_heap ~heap_bytes:(8 * mib) ~pooling:false () in
+  let heap = mk_heap ~heap_bytes:(8 * mib) () in
   let rt = Runtime.Rt.create ~seed:42 ~engine ~heap () in
   ignore (Collectors.G1.install rt);
   let unrooted = ref None and rooted = ref None in

@@ -179,7 +179,7 @@ let test_load_healing () =
       Mutator.write m holder 0 old_copy;
       (* Relocate the target behind the mutator's back. *)
       let new_copy = Mutator.alloc m ~data_bytes:16 ~nrefs:0 in
-      old_copy.Heap.Gobj.forward <- new_copy;
+      Heap.Gobj.set_forward old_copy new_copy;
       (let got = Mutator.read m holder 0 in
        if Heap.Gobj.is_null got then Alcotest.fail "lost reference"
        else

@@ -61,6 +61,60 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
+(* The boxed-[Int64] splitmix64 the generator used to be, kept verbatim
+   as the reference: the unboxed state must reproduce its streams bit
+   for bit, or every seeded run in the repository changes. *)
+module Old_prng = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = Int64.of_int seed }
+
+  let next_int64 t =
+    let open Int64 in
+    t.state <- add t.state 0x9E3779B97F4A7C15L;
+    let z = t.state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let split t = { state = next_int64 t }
+  let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+  let int t n = bits t mod n
+  let int_in t lo hi = lo + int t (hi - lo + 1)
+
+  let float t =
+    Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) *. 0x1.0p-53
+
+  let chance t p = float t < p
+end
+
+let prng_matches_old =
+  let open QCheck2.Gen in
+  let op =
+    oneof
+      [
+        map (fun n -> `Int n) (int_range 1 1_000_000);
+        map2 (fun lo w -> `Int_in (lo, lo + w)) (int_range (-1000) 1000) (int_range 0 5000);
+        map (fun p -> `Chance p) (float_range 0. 1.);
+        return `Split;
+      ]
+  in
+  qtest ~count:300 "prng streams equal the boxed Int64 reference"
+    (pair int (list_size (int_range 1 200) op))
+    (fun (seed, ops) ->
+      let a = ref (Prng.create seed) and b = ref (Old_prng.create seed) in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Int n -> Prng.int !a n = Old_prng.int !b n
+          | `Int_in (lo, hi) -> Prng.int_in !a lo hi = Old_prng.int_in !b lo hi
+          | `Chance p -> Prng.chance !a p = Old_prng.chance !b p
+          | `Split ->
+              a := Prng.split !a;
+              b := Old_prng.split !b;
+              Prng.bits !a = Old_prng.bits !b)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Vec *)
 
@@ -471,6 +525,7 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
           Alcotest.test_case "float range" `Quick test_prng_float_range;
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
+          prng_matches_old;
         ] );
       ( "vec",
         [
