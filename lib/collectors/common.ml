@@ -69,17 +69,32 @@ let run_workers rt ~n ~name f =
     Sim.Engine.wait done_c
   done
 
-(** A shared work counter: workers claim indices until the range is
-    drained (single-threaded host, so a plain ref suffices). *)
-let make_claimer limit =
-  let next = ref 0 in
-  fun () ->
-    if !next >= limit then None
-    else begin
-      let i = !next in
-      incr next;
-      Some i
-    end
+(** Block the calling mutator, outside the safepoint protocol, until a
+    collector releases memory: every collector's allocation-failure wait. *)
+let stall_until_freed rt =
+  Runtime.Safepoint.park rt.RtM.safepoint;
+  Sim.Engine.wait rt.RtM.mem_freed;
+  Runtime.Safepoint.unpark rt.RtM.safepoint
+
+(** The number of regions of [kind]. *)
+let count_regions heap kind =
+  Array.fold_left
+    (fun n (r : Region.t) -> if r.Region.kind = kind then n + 1 else n)
+    0 heap.Heap_impl.regions
+
+(** Old regions as a fraction of the heap: the old-cycle trigger. *)
+let old_occupancy heap =
+  float_of_int (count_regions heap Region.Old)
+  /. float_of_int (Heap_impl.num_regions heap)
+
+(** The ints [iter] yields, in reverse, without a cons per element.  Card
+    sets iterate in ascending order and their consumers claim cards in
+    descending order, which is part of the deterministic schedule. *)
+let descending_snapshot iter =
+  let v = Util.Vec.create ~capacity:64 0 in
+  iter (fun c -> Util.Vec.push v c);
+  let n = Util.Vec.length v in
+  Array.init n (fun i -> Util.Vec.get v (n - 1 - i))
 
 (* ------------------------------------------------------------------ *)
 (* Roots.                                                               *)
@@ -225,6 +240,14 @@ module Marker = struct
   let final_drain t tk = drain t tk
 end
 
+(** The SATB pre-write barrier of a collector with one concurrent marker:
+    while it marks, bill the barrier and enqueue the overwritten value. *)
+let satb_store_barrier (m : Marker.t) ~src:_ ~field:_ ~old_v ~new_v:_ =
+  if m.Marker.active then begin
+    Sim.Engine.tick m.Marker.rt.RtM.costs.Costs.satb_barrier;
+    if old_v != Gobj.null then Marker.satb_enqueue m old_v
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Evacuation.                                                          *)
 
@@ -256,6 +279,20 @@ module Evac = struct
             r
         | None -> raise Evacuation_failure)
 
+  (** The relocation primitive under every copy: append an aged copy of
+      [o] at the top of [r], install the forwarding pointer (reported to
+      the access hooks as [site]) and bill the copy.  Returns the copy. *)
+  let relocate rt tk ~site (r : Region.t) (o : Gobj.t) =
+    let heap = rt.RtM.heap in
+    let copy =
+      Gobj.remake ~uids:heap.Heap_impl.uids o ~age:(Gobj.age o + 1)
+        ~region:r.Region.rid ~offset:r.Region.top
+    in
+    Heap_impl.push_relocated heap r copy;
+    Gobj.set_forward_with ~hooks:heap.Heap_impl.hooks ~site o copy;
+    Ticker.tick tk (Costs.copy_cost rt.RtM.costs o.Gobj.size);
+    copy
+
   (** Copy [o] to [d], installing the forwarding pointer; returns the new
       copy.  Idempotent: an already-forwarded object returns its copy.
       [racy] plants the check-then-act bug a real CAS install closes
@@ -278,46 +315,90 @@ module Evac = struct
             Ticker.flush tk;
             Sim.Engine.tick w
         | None -> ());
-        let costs = d.rt.RtM.costs in
-        let heap = d.rt.RtM.heap in
         let r = dest_region d ~size:o.Gobj.size in
-        let copy =
-          Gobj.remake ~uids:heap.Heap_impl.uids o
-            ~age:(Gobj.age o + 1) ~region:r.Region.rid ~offset:r.Region.top
-        in
-        Heap_impl.push_relocated d.rt.RtM.heap r copy;
-        Gobj.set_forward_with ~hooks:d.rt.RtM.heap.Heap_impl.hooks
-          ~site:"Evac.copy_object" o copy;
-        Ticker.tick tk (Costs.copy_cost costs o.Gobj.size);
+        let copy = relocate d.rt tk ~site:"Evac.copy_object" r o in
         d.rt.RtM.heap.Heap_impl.bytes_allocated <-
           d.rt.RtM.heap.Heap_impl.bytes_allocated + o.Gobj.size;
         d.on_copied copy;
         copy
     end
 
-  (** Evacuate every live (marked) object of [region]; returns copied
-      bytes.  Liveness comes from the region's live bitmap (current mark
-      epoch results). *)
-  let evacuate_region d tk (region : Region.t) =
-    let heap = d.rt.RtM.heap in
-    let copied = ref 0 in
-    let objects = ref 0 in
+  (** Adaptive tenuring, one policy for every copying young collection:
+      an object promotes once its age reaches [tenure_age], or once the
+      cycle's survivors exceed a sixteenth of the heap (survivor
+      overflow, as in HotSpot). *)
+  type tenuring = {
+    tenure_age : int;
+    survivor_cap : int;
+    mutable survivor_bytes : int;  (** copied-to-young this cycle *)
+  }
+
+  let tenuring rt ~tenure_age =
+    {
+      tenure_age;
+      survivor_cap = rt.RtM.heap.Heap_impl.cfg.heap_bytes / 16;
+      survivor_bytes = 0;
+    }
+
+  let promotes t (o : Gobj.t) =
+    Gobj.age o >= t.tenure_age || t.survivor_bytes > t.survivor_cap
+
+  (** Count [o]'s copy as a survivor of this cycle. *)
+  let survived t (o : Gobj.t) = t.survivor_bytes <- t.survivor_bytes + o.Gobj.size
+
+  (** Report one finished evacuation batch (a region's live set, or a
+      trace-and-copy cycle's total) to the tracer. *)
+  let trace_batch rt ~objects ~bytes =
+    if objects > 0 && RtM.tracing rt then
+      RtM.trace rt (Runtime.Tracepoint.Evac_batch { objects; bytes })
+
+  (** Liveness per the last full mark: marked, or in a region allocated
+      since the mark began. *)
+  let live_after_mark heap (region : Region.t) (o : Gobj.t) =
+    Heap_impl.is_marked heap o
+    || region.Region.alloc_epoch >= heap.Heap_impl.mark_epoch
+
+  (** Copy every unforwarded [live] object of [region] to [dest o], then
+      report the region as one batch.  {!Evacuation_failure} aborts the
+      region before its batch is reported; the copies made so far stay. *)
+  let evacuate_region rt tk ~live ~dest (region : Region.t) =
+    let objects = ref 0 and bytes = ref 0 in
     Util.Vec.iter
       (fun (o : Gobj.t) ->
-        if
-          (not (Gobj.is_forwarded o))
-          && (Heap_impl.is_marked heap o || region.Region.alloc_epoch >= heap.Heap_impl.mark_epoch)
-        then begin
-          let _ = copy_object d tk o in
-          copied := !copied + o.Gobj.size;
-          incr objects
+        if (not (Gobj.is_forwarded o)) && live o then begin
+          ignore (copy_object (dest o) tk o);
+          incr objects;
+          bytes := !bytes + o.Gobj.size
         end)
       region.Region.objects;
-    if !objects > 0 && RtM.tracing d.rt then
-      RtM.trace d.rt
-        (Runtime.Tracepoint.Evac_batch { objects = !objects; bytes = !copied });
-    !copied
+    trace_batch rt ~objects:!objects ~bytes:!bytes
 end
+
+(** Shared work claiming.  [n] GC workers take [items] one at a time in
+    index order; [worker tk] runs once per worker and returns the
+    per-item function, so per-worker state (a destination buffer) lives
+    in its closure.  Claiming stops when the items run out, when
+    [stop ()] holds, or once an item raises {!Evac.Evacuation_failure};
+    a worker inside an item finishes it.  Returns the remainder — the
+    unclaimed tail in descending index order, then the failed items,
+    latest failure first, the order Shenandoah's degenerated pause
+    consumes it in — and whether an item failed. *)
+let claim rt ~n ~name ~stop items worker =
+  let next = ref 0 and failed = ref false and rest = ref [] in
+  run_workers rt ~n ~name (fun _ tk ->
+      let f = worker tk in
+      while not (stop () || !failed || !next >= Array.length items) do
+        let item = items.(!next) in
+        incr next;
+        try f item
+        with Evac.Evacuation_failure ->
+          failed := true;
+          rest := item :: !rest
+      done);
+  for i = !next to Array.length items - 1 do
+    rest := items.(i) :: !rest
+  done;
+  (!rest, !failed)
 
 (* ------------------------------------------------------------------ *)
 (* Reference updating.                                                  *)
@@ -329,10 +410,7 @@ let update_refs_in_region rt (tk : Ticker.t) (region : Region.t) =
   let costs = rt.RtM.costs in
   Util.Vec.iter
     (fun (o : Gobj.t) ->
-      if
-        Heap_impl.is_marked heap o
-        || region.Region.alloc_epoch >= heap.Heap_impl.mark_epoch
-      then begin
+      if Evac.live_after_mark heap region o then begin
         Ticker.tick tk
           (costs.Costs.mark_obj + Costs.mark_size_cost costs o.Gobj.size);
         for i = 0 to Gobj.num_fields o - 1 do
@@ -508,15 +586,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
         match pick () with
         | None -> false
         | Some d ->
-            let copy =
-              Gobj.remake ~uids:heap.Heap_impl.uids
-                o ~age:(Gobj.age o + 1) ~region:d.Region.rid
-                ~offset:d.Region.top
-            in
-            Heap_impl.push_relocated heap d copy;
-            Gobj.set_forward_with ~hooks:heap.Heap_impl.hooks
-              ~site:"full_compact.place_elsewhere" o copy;
-            Ticker.tick tk (Costs.copy_cost costs o.Gobj.size);
+            ignore (Evac.relocate rt tk ~site:"full_compact.place_elsewhere" d o);
             true
       in
       let reclaimed = ref 0 in
@@ -548,15 +618,8 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
                would start from indices of the pre-slide layout. *)
             Region.clear_objects r;
             List.iter
-              (fun (o : Gobj.t) ->
-                let copy =
-                  Gobj.remake ~uids:heap.Heap_impl.uids o ~age:(Gobj.age o + 1)
-                    ~region:r.Region.rid ~offset:r.Region.top
-                in
-                Heap_impl.push_relocated heap r copy;
-                Gobj.set_forward_with ~hooks:heap.Heap_impl.hooks
-                  ~site:"full_compact.slide_in_place" o copy;
-                Ticker.tick tk (Costs.copy_cost costs o.Gobj.size))
+              (fun o ->
+                ignore (Evac.relocate rt tk ~site:"full_compact.slide_in_place" r o))
               stay;
             r.Region.live_bytes <- r.Region.top;
             Queue.push r dest_pool
@@ -588,8 +651,7 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
           end)
         heap.Heap_impl.regions;
       RtM.update_roots rt;
-      let survivors, cleared = Heap_impl.process_weak_refs_marked heap in
-      ignore survivors;
+      let _, cleared = Heap_impl.process_weak_refs_marked heap in
       Ticker.tick tk (cleared * rt.RtM.costs.Costs.weak_ref_process);
       Ticker.flush tk;
       check_reachability rt ~where:"full_compact";
@@ -621,3 +683,19 @@ let stw_full_compact ?(on_live_ref = fun _ _ _ -> ()) rt =
       RtM.fire_phase ~collector:vname rt Runtime.Vhook.Evac_end;
       RtM.fire_phase ~collector:vname rt Runtime.Vhook.Cycle_end;
       !reclaimed)
+
+(** The free-region floor below which a collector's progress counts as
+    failed: the escalation and out-of-memory threshold. *)
+let low_watermark heap = max 2 (Heap_impl.num_regions heap / 50)
+
+(** Everyone's last resort: compact the whole heap, then declare the run
+    out of memory if even that leaves the heap below {!low_watermark}
+    (bounding the simulation the way Table 4 reports OOMs).
+    [on_live_ref] is passed through to {!stw_full_compact}. *)
+let full_gc_or_oom ?on_live_ref rt =
+  let heap = rt.RtM.heap in
+  ignore (stw_full_compact ?on_live_ref rt);
+  if Heap_impl.free_regions heap < low_watermark heap then begin
+    rt.RtM.oom <- true;
+    RtM.notify_memory_freed rt
+  end

@@ -41,15 +41,11 @@ type t = {
   mutable young_budget : int;  (** regions of eden before a young GC *)
   mutable urgent : bool;  (** an allocation failed; collect now *)
   mutable last_pause_est : int;
-  mutable dirty_since_rebuild : int;
 }
 
 let debug =
   match Sys.getenv_opt "SIM_DEBUG" with Some "1" -> true | _ -> false
   [@@gcsim.allow "env-gated debug flag (SIM_DEBUG), read once at module init"]
-
-let stw_config (t : t) : Stw_collect.config =
-  { tenure_age = t.config.tenure_age; gc_threads = t.config.gc_threads }
 
 let young_region_count t =
   let n = ref 0 in
@@ -60,13 +56,7 @@ let young_region_count t =
   !n
 
 (* Old regions consumed, as a fraction of the heap (IHOP metric). *)
-let old_occupancy t =
-  let heap = t.rt.RtM.heap in
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) -> if r.Region.kind = Region.Old then incr n)
-    heap.Heap_impl.regions;
-  float_of_int !n /. float_of_int (Heap_impl.num_regions heap)
+let old_occupancy t = Common.old_occupancy t.rt.RtM.heap
 
 (* ------------------------------------------------------------------ *)
 (* Collection-set policy.                                               *)
@@ -127,7 +117,7 @@ let collect t ~mixed =
     else []
   in
   let result =
-    Stw_collect.collect t.rt ~remsets:t.remsets ~config:(stw_config t)
+    Stw_collect.collect t.rt ~remsets:t.remsets ~tenure_age:t.config.tenure_age
       ~old_cset ~extra_roots ~pause_kind:kind ()
   in
   let pause = Sim.Engine.now t.rt.RtM.engine - t0 in
@@ -144,8 +134,6 @@ let collect t ~mixed =
   [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
   Metrics.add metrics "g1.young_collections" 1;
   result.Stw_collect.failed
-
-let low_watermark heap = max 2 (Heap_impl.num_regions heap / 50)
 
 (* Full GC: every remembered set goes stale when the heap compacts, so
    drop them all and rebuild from the surviving references. *)
@@ -164,14 +152,12 @@ let full_gc t =
       Region_remsets.add t.remsets ~target_rid:child.Gobj.region
         ~card:(Heap_impl.card_of_field heap holder i)
   in
-  let reclaimed = Common.stw_full_compact ~on_live_ref t.rt in
+  Common.full_gc_or_oom ~on_live_ref t.rt;
   (if debug then
-     Printf.eprintf "[g1] %.3fs full-gc reclaimed=%d free=%d\n%!"
+     Printf.eprintf "[g1] %.3fs full-gc free=%d oom=%b\n%!"
        (float_of_int (Sim.Engine.now t.rt.RtM.engine) /. 1e9)
-       reclaimed
-       (Heap_impl.free_regions heap))
-  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
-  reclaimed
+       (Heap_impl.free_regions heap) t.rt.RtM.oom)
+  [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"]
 
 let remset_rebuild_wanted (r : Region.t) =
   (not (Region.is_free r)) && Stw_collect.remember_from r
@@ -219,13 +205,10 @@ let run_mark_cycle t =
      cross-region references, clean the card (Table 7's G1 "Build"). *)
   Metrics.phase_begin metrics "g1.remset_build"
     ~now:(Sim.Engine.now rt.RtM.engine);
-  (* Cons-free dirty-card snapshot; descending order preserved (the
-     legacy list prepended during an ascending sweep — chunk assignment
-     below depends on the order). *)
-  let dirtyv = Util.Vec.create ~capacity:64 0 in
-  Heap_impl.iter_dirty_cards (fun c -> Util.Vec.push dirtyv c) heap;
-  let nd = Util.Vec.length dirtyv in
-  let cards = Array.init nd (fun i -> Util.Vec.get dirtyv (nd - 1 - i)) in
+  (* Chunk assignment below depends on the descending card order. *)
+  let cards =
+    Common.descending_snapshot (fun f -> Heap_impl.iter_dirty_cards f heap)
+  in
   Metrics.add metrics "g1.cards_scanned" (Array.length cards);
   Common.run_workers rt ~n:t.config.gc_threads ~name:"g1-rebuild" (fun w tk ->
       let n = Array.length cards in
@@ -294,7 +277,7 @@ let run_mark_cycle t =
    then OOM — so a failed evacuation can never spin the controller. *)
 let ensure_progress t =
   let heap = t.rt.RtM.heap in
-  let low = low_watermark heap in
+  let low = Common.low_watermark heap in
   let failed = collect t ~mixed:(t.candidates <> []) in
   if failed || Heap_impl.free_regions heap < low then begin
     if t.candidates = [] then run_mark_cycle t;
@@ -305,13 +288,7 @@ let ensure_progress t =
       decr guard;
       ignore (collect t ~mixed:true)
     done;
-    if Heap_impl.free_regions heap < low then begin
-      ignore (full_gc t);
-      if Heap_impl.free_regions heap < low then begin
-        t.rt.RtM.oom <- true;
-        RtM.notify_memory_freed t.rt
-      end
-    end
+    if Heap_impl.free_regions heap < low then full_gc t
   end
 
 let controller t () =
@@ -356,7 +333,6 @@ let install ?(config = default_config) rt =
       young_budget = max 4 (Heap_impl.num_regions heap / 4);
       urgent = false;
       last_pause_est = Util.Units.ms;
-      dirty_since_rebuild = 0;
     }
   in
   (* Verifier metadata: a per-target-region remset covers an old→young
@@ -376,10 +352,7 @@ let install ?(config = default_config) rt =
     };
   let costs = rt.RtM.costs in
   let store_barrier ~src ~field ~old_v ~new_v =
-    if t.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v
-    end;
+    Common.satb_store_barrier t.marker ~src ~field ~old_v ~new_v;
     if new_v != Gobj.null && new_v.Gobj.region <> src.Gobj.region then begin
       (* Post-write barrier: dirty the card; refinement inserts the
          remembered-set entry inline. *)
@@ -388,19 +361,16 @@ let install ?(config = default_config) rt =
       Stw_collect.barrier_insert rt t.remsets ~src ~field ~child:new_v
     end
   in
-  let alloc_failure () =
-    t.urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
   RtM.install_collector rt
     {
       RtM.cname = "g1";
       store_barrier;
       load_extra_cost = 0;
       mutator_tax_pct = 0;
-      alloc_failure;
+      alloc_failure =
+        (fun () ->
+          t.urgent <- true;
+          Common.stall_until_freed rt);
     };
   ignore
     (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc

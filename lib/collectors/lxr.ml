@@ -45,9 +45,6 @@ type t = {
   mutable urgent : bool;
 }
 
-let stw_config (t : t) : Stw_collect.config =
-  { tenure_age = t.config.tenure_age; gc_threads = t.config.gc_threads }
-
 (* RC epoch: process the logged field updates, then reclaim the young
    generation (and, when a concurrent trace has produced candidates, a
    defrag slice bounded only by free space — LXR pauses are not
@@ -76,7 +73,7 @@ let rc_epoch t ~defrag =
   t.last_epoch_bytes <- rt.RtM.heap.Heap_impl.bytes_allocated;
   let pause_kind = if defrag then Metrics.Mixed_stw else Metrics.Rc_epoch in
   let result =
-    Stw_collect.collect rt ~remsets:t.remsets ~config:(stw_config t)
+    Stw_collect.collect rt ~remsets:t.remsets ~tenure_age:t.config.tenure_age
       ~old_cset ~pause_kind ()
   in
   (* The increment/decrement processing shares the same pause; bill it on
@@ -135,7 +132,7 @@ let run_trace t =
 let controller t () =
   let rt = t.rt in
   let heap = rt.RtM.heap in
-  let low = max 2 (Heap_impl.num_regions heap / 50) in
+  let low = Common.low_watermark heap in
   while true do
     let since =
       heap.Heap_impl.bytes_allocated - t.last_epoch_bytes
@@ -146,13 +143,8 @@ let controller t () =
       if failed || Heap_impl.free_regions heap < low then begin
         if t.candidates = [] then run_trace t;
         let failed2 = rc_epoch t ~defrag:true in
-        if failed2 || Heap_impl.free_regions heap < low then begin
-          ignore (Common.stw_full_compact rt);
-          if Heap_impl.free_regions heap < low then begin
-            rt.RtM.oom <- true;
-            RtM.notify_memory_freed rt
-          end
-        end
+        if failed2 || Heap_impl.free_regions heap < low then
+          Common.full_gc_or_oom rt
       end
     end
     else if
@@ -202,19 +194,16 @@ let install ?(config = default_config) rt =
     if new_v != Gobj.null && new_v.Gobj.region <> src.Gobj.region then
       Stw_collect.barrier_insert rt t.remsets ~src ~field ~child:new_v
   in
-  let alloc_failure () =
-    t.urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
   RtM.install_collector rt
     {
       RtM.cname = "lxr";
       store_barrier;
       load_extra_cost = 0;
       mutator_tax_pct = 0;
-      alloc_failure;
+      alloc_failure =
+        (fun () ->
+          t.urgent <- true;
+          Common.stall_until_freed rt);
     };
   ignore
     (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc

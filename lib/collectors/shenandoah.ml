@@ -79,40 +79,12 @@ let select_cset t =
   !cset
 
 (* ------------------------------------------------------------------ *)
-(* Parallel phase drivers with degeneration checkpoints.                *)
-
-(* Run [f ctx tk item] over [items] with [n] GC workers (each with its
-   own [init ()] context, e.g. a destination buffer), stopping early when
-   the degeneration flag rises or [f] reports failure.  Returns the
-   unprocessed remainder (failure-item included). *)
-let parallel_drain t ~n ~name ~init items f =
-  let arr = Array.of_list items in
-  let next = ref 0 in
-  let leftover = ref [] in
-  let failed = ref false in
-  Common.run_workers t.rt ~n ~name (fun _ tk ->
-      let ctx = init () in
-      let continue_ = ref true in
-      while !continue_ do
-        if t.degen_requested || !failed || !next >= Array.length arr then
-          continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          match f ctx tk arr.(i) with
-          | () -> ()
-          | exception Common.Evac.Evacuation_failure ->
-              failed := true;
-              leftover := arr.(i) :: !leftover
-        end
-      done);
-  for i = !next to Array.length arr - 1 do
-    leftover := arr.(i) :: !leftover
-  done;
-  (!leftover, !failed)
-
-(* ------------------------------------------------------------------ *)
 (* Cycle.                                                               *)
+
+let evacuate t dest tk r =
+  Common.Evac.evacuate_region t.rt tk
+    ~live:(Common.Evac.live_after_mark t.rt.RtM.heap r)
+    ~dest:(fun _ -> dest) r
 
 let release_cset t tk cset =
   let heap = t.rt.RtM.heap in
@@ -137,11 +109,7 @@ let degenerate t ~evac_rest ~update_rest ~cset =
         Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old
       in
       let failed =
-        match
-          List.iter
-            (fun r -> ignore (Common.Evac.evacuate_region dest tk r))
-            evac_rest
-        with
+        match List.iter (evacuate t dest tk) evac_rest with
         | () -> false
         | exception Common.Evac.Evacuation_failure -> true
       in
@@ -200,47 +168,40 @@ let run_cycle t =
       RtM.fire_phase rt Runtime.Vhook.Mark_end);
   (* 4. Concurrent evacuation. *)
   Metrics.phase_begin metrics "shen.evac" ~now:(now ());
+  (* Parallel phases stop early at a degeneration request; the unclaimed
+     rest finishes inside the degenerated pause. *)
+  let stop () = t.degen_requested in
   let evac_rest, evac_failed =
-    parallel_drain t ~n:t.config.gc_threads ~name:"shen-evac"
-      ~init:(fun () ->
-        Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old)
-      !cset
-      (fun dest tk r -> ignore (Common.Evac.evacuate_region dest tk r))
+    Common.claim rt ~n:t.config.gc_threads ~name:"shen-evac" ~stop
+      (Array.of_list !cset)
+      (fun tk ->
+        evacuate t
+          (Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old)
+          tk)
   in
   Metrics.phase_end metrics "shen.evac" ~now:(now ());
   let all_regions = Array.to_list heap.Heap_impl.regions in
   let finish_ok =
     if evac_failed || t.degen_requested then begin
       let failed = degenerate t ~evac_rest ~update_rest:all_regions ~cset:!cset in
-      if failed then begin
-        ignore (Common.stw_full_compact rt);
-        if
-          Heap_impl.free_regions heap
-          < max 2 (Heap_impl.num_regions heap / 50)
-        then begin
-          rt.RtM.oom <- true;
-          RtM.notify_memory_freed rt
-        end
-      end;
+      if failed then Common.full_gc_or_oom rt;
       false
     end
     else begin
       (* 5. Concurrent update-refs over every live region. *)
       Metrics.phase_begin metrics "shen.update_refs" ~now:(now ());
       let update_rest, _ =
-        parallel_drain t ~n:t.config.gc_threads ~name:"shen-update"
-          ~init:(fun () -> ())
-          all_regions
-          (fun () tk (r : Region.t) ->
+        Common.claim rt ~n:t.config.gc_threads ~name:"shen-update" ~stop
+          heap.Heap_impl.regions
+          (fun tk (r : Region.t) ->
             if (not (Region.is_free r)) && not r.Region.in_cset then
               Common.update_refs_in_region rt tk r)
       in
       Metrics.phase_end metrics "shen.update_refs" ~now:(now ());
+      (* Evacuation is complete here, so the degenerated pause only
+         updates references and cannot fail. *)
       if t.degen_requested then begin
-        let failed =
-          degenerate t ~evac_rest:[] ~update_rest ~cset:!cset
-        in
-        if failed then ignore (Common.stw_full_compact rt);
+        ignore (degenerate t ~evac_rest:[] ~update_rest ~cset:!cset);
         false
       end
       else true
@@ -273,54 +234,43 @@ let controller t () =
       run_cycle t;
       (* Escalate if the cycle made no usable progress while mutators are
          starving: full GC, then OOM. *)
-      let low = max 2 (Heap_impl.num_regions heap / 50) in
-      if rt.RtM.stalled_mutators > 0 && Heap_impl.free_regions heap < low
-      then begin
-        ignore (Common.stw_full_compact rt);
-        if Heap_impl.free_regions heap < low then begin
-          rt.RtM.oom <- true;
-          RtM.notify_memory_freed rt
-        end
-      end
+      if
+        rt.RtM.stalled_mutators > 0
+        && Heap_impl.free_regions heap < Common.low_watermark heap
+      then Common.full_gc_or_oom rt
     end
     else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
   done
 
-let install ?(config = default_config) rt =
-  let t =
-    {
-      rt;
-      config;
-      marker = Common.Marker.create rt;
-      cycle_running = false;
-      degen_requested = false;
-      urgent = false;
-    }
-  in
-  let costs = rt.RtM.costs in
-  let store_barrier ~src ~field ~old_v ~new_v =
-    ignore src;
-    ignore field;
-    ignore new_v;
-    if t.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v
-    end
-  in
-  let alloc_failure () =
-    t.urgent <- true;
-    if t.cycle_running then t.degen_requested <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
+(** A Shenandoah instance whose cycles the caller drives (GenShen's old
+    space). *)
+let create ?(config = default_config) rt =
+  {
+    rt;
+    config;
+    marker = Common.Marker.create rt;
+    cycle_running = false;
+    degen_requested = false;
+    urgent = false;
+  }
+
+(** An allocation failed: a running cycle degenerates. *)
+let request_degeneration t =
+  if t.cycle_running then t.degen_requested <- true
+
+let install ?config rt =
+  let t = create ?config rt in
   RtM.install_collector rt
     {
       RtM.cname = "shenandoah";
-      store_barrier;
+      store_barrier = Common.satb_store_barrier t.marker;
       load_extra_cost = 1;
       mutator_tax_pct = 0;
-      alloc_failure;
+      alloc_failure =
+        (fun () ->
+          t.urgent <- true;
+          request_degeneration t;
+          Common.stall_until_freed rt);
     };
   ignore
     (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc

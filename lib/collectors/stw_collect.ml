@@ -14,10 +14,6 @@ open Heap
 module RtM = Runtime.Rt
 module Metrics = Runtime.Metrics
 
-type config = { tenure_age : int; gc_threads : int }
-
-let default_config = { tenure_age = 2; gc_threads = 2 }
-
 type result = {
   reclaimed_regions : int;
   copied_bytes : int;
@@ -45,11 +41,10 @@ let barrier_insert rt remsets ~(src : Gobj.t) ~field ~(child : Gobj.t) =
 
 (** Run one collection pause.  [old_cset] must be non-humongous old
     regions chosen by the caller's policy (empty for a young-only GC). *)
-let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
-    ?(extra_roots = []) ~pause_kind () =
+let collect rt ~(remsets : Region_remsets.t) ~tenure_age
+    ~(old_cset : Region.t list) ?(extra_roots = []) ~pause_kind () =
   let heap = rt.RtM.heap in
   let costs = rt.RtM.costs in
-  ignore config.gc_threads;
   Runtime.Safepoint.stw rt.RtM.safepoint pause_kind (fun () ->
       RtM.retire_all_tlabs rt;
       (* STW pause work is shared by parallel GC workers on the idle
@@ -96,26 +91,23 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
         if (Heap_impl.region heap o.Gobj.region).Region.humongous then
           Hashtbl.replace humongous_reached o.Gobj.region ()
       in
-      let survivor_bytes = ref 0 in
-      let survivor_cap = heap.Heap_impl.cfg.heap_bytes / 16 in
+      let tenuring = Common.Evac.tenuring rt ~tenure_age in
       let scan_list = Util.Vec.create Gobj.null in
-      (* Copy a cset object (idempotent) and queue its copy for scanning.
-         Survivor overflow promotes directly (HotSpot-style adaptive
-         tenuring). *)
+      (* Copy a cset object (idempotent) and queue its copy for scanning;
+         old cset objects stay old. *)
       let copy_out (o : Gobj.t) =
         if Gobj.is_forwarded o then Gobj.resolve o
         else begin
           let promote =
             (Heap_impl.region heap o.Gobj.region).Region.kind = Region.Old
-            || Gobj.age o >= config.tenure_age
-            || !survivor_bytes > survivor_cap
+            || Common.Evac.promotes tenuring o
           in
           let dest = if promote then dest_old else dest_young in
           let o' = Common.Evac.copy_object dest tk o in
           copied := !copied + o.Gobj.size;
           incr copied_objects;
           if promote then promoted := !promoted + o.Gobj.size
-          else survivor_bytes := !survivor_bytes + o.Gobj.size;
+          else Common.Evac.survived tenuring o;
           Util.Vec.push scan_list o';
           o'
         end
@@ -306,11 +298,7 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
                               child != Gobj.null
                               && (Gobj.resolve child).Gobj.region
                                  = r.Region.rid
-                            then begin
-                              ignore o;
-                              ignore i;
-                              referenced := true
-                            end))
+                            then referenced := true))
                       rs);
               if not !referenced then begin
                 Region_remsets.clear remsets r.Region.rid;
@@ -328,10 +316,7 @@ let collect rt ~(remsets : Region_remsets.t) ~config ~(old_cset : Region.t list)
            released; the caller must fall back to a full compaction. *)
         List.iter (fun (r : Region.t) -> r.Region.in_cset <- false) !cset;
       if not !failed then RtM.fire_phase rt Runtime.Vhook.Evac_end;
-      if !copied_objects > 0 && RtM.tracing rt then
-        RtM.trace rt
-          (Runtime.Tracepoint.Evac_batch
-             { objects = !copied_objects; bytes = !copied });
+      Common.Evac.trace_batch rt ~objects:!copied_objects ~bytes:!copied;
       Common.Ticker.flush tk;
       Common.check_reachability rt ~where:"stw_collect";
       Metrics.add rt.RtM.metrics "stw_collections" 1;

@@ -26,13 +26,11 @@ type style = Update_refs_phase | Lazy_healing
 type t = {
   rt : RtM.t;
   remset : Remset.t;  (** old-to-young, card granularity *)
-  tenure_age : int;
+  tenuring : Common.Evac.tenuring;
   style : style;
   atomic_cost : bool;  (** colored-pointer cost during young marking *)
   marker : Common.Marker.t;
   mutable young_cycle_active : bool;
-  mutable survivor_bytes : int;  (** copied-to-young this cycle *)
-  mutable survivor_cap : int;  (** survivor-overflow promotion threshold *)
 }
 
 let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
@@ -44,7 +42,7 @@ let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
       remset =
         Remset.create ~name:"old2young"
           ~total_cards:(Heap_impl.total_cards heap);
-      tenure_age;
+      tenuring = Common.Evac.tenuring rt ~tenure_age;
       style;
       atomic_cost;
       marker =
@@ -52,8 +50,6 @@ let create ?(tenure_age = 1) ?(atomic_cost = false) ~style rt =
           ~scope:(Common.Marker.Only (fun r -> r.Region.kind = Region.Young))
           ~gen:Common.Marker.Young_gen ~atomic_cost rt;
       young_cycle_active = false;
-      survivor_bytes = 0;
-      survivor_cap = heap.Heap_impl.cfg.heap_bytes / 16;
     }
   in
   (* Verifier metadata: the card remset is the sole old→young coverage
@@ -117,50 +113,19 @@ let scan_remset_roots t tk =
     t.remset;
   List.iter (fun card -> Remset.remove t.remset card) !prune
 
-(* Evacuate one young region: survivors stay young, objects past the
-   tenuring age are promoted; promoted objects with young references get
-   remembered-set entries for their new location. *)
-let evacuate_young_region t tk ~dest_young ~dest_old (r : Region.t) =
+(** Re-remember the young references of [o'], a copy now in the old
+    generation (a promoted object, or an old holder an old cycle
+    relocated); [tick] bills each insert. *)
+let remember_old_copy t ~tick (o' : Gobj.t) =
   let heap = t.rt.RtM.heap in
-  let costs = t.rt.RtM.costs in
-  let copied_objects = ref 0 in
-  let copied_bytes = ref 0 in
-  (* Liveness is exactly the young mark: snapshot regions all predate the
-     cycle, and objects born during it were allocated young-marked. *)
-  ignore r.Region.alloc_epoch;
-  Util.Vec.iter
-    (fun (o : Gobj.t) ->
-      if (not (Gobj.is_forwarded o)) && Heap_impl.is_marked_young heap o
-      then begin
-        incr copied_objects;
-        copied_bytes := !copied_bytes + o.Gobj.size;
-        let promote =
-          Gobj.age o >= t.tenure_age || t.survivor_bytes > t.survivor_cap
-        in
-        let dest = if promote then dest_old else dest_young in
-        let o' = Common.Evac.copy_object dest tk o in
-        if not promote then
-          t.survivor_bytes <- t.survivor_bytes + o.Gobj.size;
-        if promote then begin
-          Metrics.add t.rt.RtM.metrics "young.promoted_bytes" o.Gobj.size;
-          (* The new old-generation copy may still point at young objects
-             (possibly via stale refs — their copies are also young). *)
-          Gobj.iter_fields
-            (fun i child ->
-              let child = Gobj.resolve child in
-              if is_young heap child then begin
-                Common.Ticker.tick tk costs.Costs.remset_insert;
-                ignore
-                  (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
-              end)
-            o'
-        end
+  Gobj.iter_fields
+    (fun i child ->
+      (* Stale refs count too: their copies are also young. *)
+      if is_young heap (Gobj.resolve child) then begin
+        tick ();
+        ignore (Remset.add t.remset (Heap_impl.card_of_field heap o' i))
       end)
-    r.Region.objects;
-  if !copied_objects > 0 && RtM.tracing t.rt then
-    RtM.trace t.rt
-      (Runtime.Tracepoint.Evac_batch
-         { objects = !copied_objects; bytes = !copied_bytes })
+    o'
 
 (** Run one concurrent young collection.  Returns false on evacuation
     failure (caller escalates). *)
@@ -184,7 +149,7 @@ let collect t ~gc_threads =
     Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
   in
   t.young_cycle_active <- true;
-  t.survivor_bytes <- 0;
+  t.tenuring.Common.Evac.survivor_bytes <- 0;
   Metrics.phase_begin metrics "young.cycle" ~now:(now ());
   let snapshot = ref [] in
   (* Init (STW): roots + remembered set. *)
@@ -213,25 +178,33 @@ let collect t ~gc_threads =
       RtM.fire_phase rt Runtime.Vhook.Young_mark_end);
   (* Concurrent evacuation over the snapshot. *)
   Metrics.phase_begin metrics "young.evac" ~now:(now ());
-  let arr = Array.of_list !snapshot in
-  let next = ref 0 in
-  let failed = ref false in
-  Common.run_workers rt ~n:gc_threads ~name:"young-evac" (fun _ tk ->
-      let dest_young = Common.Evac.make_dest rt Region.Young in
-      let dest_old = Common.Evac.make_dest rt Region.Old in
-      let continue_ = ref true in
-      while !continue_ do
-        if !failed || !next >= Array.length arr then continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          match evacuate_young_region t tk ~dest_young ~dest_old arr.(i) with
-          | () -> ()
-          | exception Common.Evac.Evacuation_failure -> failed := true
-        end
-      done);
+  (* Survivors stay young, objects past the tenuring age promote, and
+     promoted objects with young references get remembered-set entries
+     for their new location.  Liveness is exactly the young mark:
+     snapshot regions all predate the cycle, and objects born during it
+     were allocated young-marked. *)
+  let _, failed =
+    Common.claim rt ~n:gc_threads ~name:"young-evac" ~stop:(fun () -> false)
+      (Array.of_list !snapshot)
+      (fun tk ->
+        let dest_young =
+          Common.Evac.make_dest
+            ~on_copied:(Common.Evac.survived t.tenuring)
+            rt Region.Young
+        in
+        let on_promoted (o' : Gobj.t) =
+          Metrics.add metrics "young.promoted_bytes" o'.Gobj.size;
+          remember_old_copy t o' ~tick:(fun () ->
+              Common.Ticker.tick tk rt.RtM.costs.Costs.remset_insert)
+        in
+        let dest_old = Common.Evac.make_dest ~on_copied:on_promoted rt Region.Old in
+        Common.Evac.evacuate_region rt tk
+          ~live:(Heap_impl.is_marked_young heap)
+          ~dest:(fun o ->
+            if Common.Evac.promotes t.tenuring o then dest_old else dest_young))
+  in
   Metrics.phase_end metrics "young.evac" ~now:(now ());
-  if not !failed then begin
+  if not failed then begin
     (* Reference updating: eager pass (GenShen) or left to load-barrier
        healing and the next marking cycle (GenZ). *)
     (match t.style with
@@ -287,8 +260,8 @@ let collect t ~gc_threads =
   (if debug then
      Printf.eprintf "[young] %.3fs end ok=%b free=%d remset=%d\n%!"
        (float_of_int (Sim.Engine.now rt.RtM.engine) /. 1e9)
-       (not !failed)
+       (not failed)
        (Heap_impl.free_regions heap)
        (Remset.cardinal t.remset))
   [@gcsim.allow "debug trace on stderr, dead unless SIM_DEBUG=1"];
-  not !failed
+  not failed

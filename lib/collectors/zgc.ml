@@ -101,61 +101,45 @@ let run_cycle t =
      objects are out — this is the incremental reclamation G1/Shenandoah
      lack, and the reason ZGC stalls rather than degenerates. *)
   Metrics.phase_begin metrics "zgc.relocate" ~now:(now ());
-  let rset = select_relocation_set t in
-  let arr = Array.of_list rset in
-  let next = ref 0 in
-  let out_of_space = ref false in
-  Common.run_workers rt ~n:t.config.gc_threads ~name:"zgc-relocate"
-    (fun _ tk ->
-      let dest =
-        Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old
-      in
-      let continue_ = ref true in
-      while !continue_ do
-        if !out_of_space || !next >= Array.length arr then continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          let r = arr.(i) in
+  let _, out_of_space =
+    Common.claim rt ~n:t.config.gc_threads ~name:"zgc-relocate"
+      ~stop:(fun () -> false)
+      (Array.of_list (select_relocation_set t))
+      (fun tk ->
+        let dest =
+          Common.Evac.make_dest ~on_copied:t.config.copy_hook rt Region.Old
+        in
+        fun (r : Region.t) ->
           let fwd =
             Forwarding.create ~rid:r.Region.rid
               ~expected:(Region.object_count r)
           in
-          match Common.Evac.evacuate_region dest tk r with
-          | _copied ->
-              Util.Vec.iter
-                (fun (o : Gobj.t) ->
-                  if Gobj.is_forwarded o then
-                    Forwarding.add fwd ~old_offset:(Gobj.offset o)
-                      o.Gobj.forward)
-                r.Region.objects;
-              t.forwarding <- fwd :: t.forwarding;
-              Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;
-              Heap_impl.release_region heap r;
-              Common.Ticker.tick tk rt.RtM.costs.Costs.region_reset;
-              Common.Ticker.flush tk;
-              RtM.notify_memory_freed rt
-          | exception Common.Evac.Evacuation_failure -> out_of_space := true
-        end
-      done);
+          Common.Evac.evacuate_region rt tk
+            ~live:(Common.Evac.live_after_mark heap r)
+            ~dest:(fun _ -> dest) r;
+          Util.Vec.iter
+            (fun (o : Gobj.t) ->
+              if Gobj.is_forwarded o then
+                Forwarding.add fwd ~old_offset:(Gobj.offset o) o.Gobj.forward)
+            r.Region.objects;
+          t.forwarding <- fwd :: t.forwarding;
+          Metrics.add rt.RtM.metrics "zgc.reclaimed_bytes" r.Region.top;
+          Heap_impl.release_region heap r;
+          Common.Ticker.tick tk rt.RtM.costs.Costs.region_reset;
+          Common.Ticker.flush tk;
+          RtM.notify_memory_freed rt)
+  in
   Common.check_reachability rt ~where:"zgc_relocate";
-  if not !out_of_space then RtM.fire_phase rt Runtime.Vhook.Evac_end;
+  if not out_of_space then RtM.fire_phase rt Runtime.Vhook.Evac_end;
   Metrics.phase_end metrics "zgc.relocate" ~now:(now ());
   Metrics.phase_end metrics "zgc.cycle" ~now:(now ());
   Metrics.add metrics "zgc.cycles" 1;
   Metrics.add metrics "zgc.forwarding_bytes"
     (List.fold_left (fun a f -> a + Forwarding.byte_size f) 0 t.forwarding);
-  if !out_of_space then begin
-    (* Relocation wedged with no free destination: compact under STW and
-       declare OOM if even that cannot free memory (ZGC would stall
-       forever; we bound the simulation the way Table 4 reports OOMs). *)
-    ignore (Common.stw_full_compact rt);
-    let low = max 2 (Heap_impl.num_regions heap / 50) in
-    if Heap_impl.free_regions heap < low then begin
-      rt.RtM.oom <- true;
-      RtM.notify_memory_freed rt
-    end
-  end;
+  (* Relocation wedged with no free destination: ZGC would stall
+     forever, so compact under STW instead (and declare OOM if even that
+     cannot free memory). *)
+  if out_of_space then Common.full_gc_or_oom rt;
   t.cycle_running <- false;
   RtM.fire_phase rt Runtime.Vhook.Cycle_end
 
@@ -172,7 +156,10 @@ let controller t () =
     else Sim.Engine.sleep rt.RtM.engine t.config.poll_interval
   done
 
-let install ?(config = default_config) rt =
+(** A ZGC instance whose cycles the caller drives (GenZ's old space);
+    registers its forwarding tables with the verifier, which checks them
+    against live copies at [Evac_end]. *)
+let create ?(config = default_config) rt =
   let t =
     {
       rt;
@@ -183,33 +170,23 @@ let install ?(config = default_config) rt =
       urgent = false;
     }
   in
-  (* Verifier metadata: the off-heap forwarding tables alive right now
-     (checked against live copies at [Evac_end]). *)
   RtM.register_fwd_table_source rt (fun () -> t.forwarding);
+  t
+
+let install ?config rt =
+  let t = create ?config rt in
   let costs = rt.RtM.costs in
-  let store_barrier ~src ~field ~old_v ~new_v =
-    ignore src;
-    ignore field;
-    ignore new_v;
-    if t.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then Common.Marker.satb_enqueue t.marker old_v
-    end
-  in
-  let alloc_failure () =
-    (* No degenerated mode: stall until relocation frees something. *)
-    t.urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
-  in
   RtM.install_collector rt
     {
       RtM.cname = "zgc";
-      store_barrier;
+      store_barrier = Common.satb_store_barrier t.marker;
       load_extra_cost = costs.Costs.colored_load_extra;
       mutator_tax_pct = costs.Costs.compressed_oops_tax_pct;
-      alloc_failure;
+      alloc_failure =
+        (fun () ->
+          (* No degenerated mode: stall until relocation frees something. *)
+          t.urgent <- true;
+          Common.stall_until_freed rt);
     };
   ignore
     (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc

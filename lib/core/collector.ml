@@ -18,22 +18,8 @@ type t = {
   mutable young_failures : int;  (** consecutive, triggers full GC (§4.3) *)
 }
 
-let young_count t =
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) -> if r.Region.kind = Region.Young then incr n)
-    t.rt.RtM.heap.Heap_impl.regions;
-  !n
-
-let old_occupancy t =
-  let heap = t.rt.RtM.heap in
-  let n = ref 0 in
-  Array.iter
-    (fun (r : Region.t) -> if r.Region.kind = Region.Old then incr n)
-    heap.Heap_impl.regions;
-  float_of_int !n /. float_of_int (Heap_impl.num_regions heap)
-
-let low_watermark heap = max 2 (Heap_impl.num_regions heap / 50)
+let young_count t = Common.count_regions t.rt.RtM.heap Region.Young
+let old_occupancy t = Common.old_occupancy t.rt.RtM.heap
 
 let full_gc t =
   let rt = t.rt in
@@ -56,12 +42,8 @@ let full_gc t =
         (Remset.add t.young.Young.remset
            (Heap_impl.card_of_field heap holder i))
   in
-  ignore (Common.stw_full_compact ~on_live_ref rt);
-  Metrics.add rt.RtM.metrics "jade.full_gcs" 1;
-  if Heap_impl.free_regions heap < low_watermark heap then begin
-    rt.RtM.oom <- true;
-    RtM.notify_memory_freed rt
-  end
+  Common.full_gc_or_oom ~on_live_ref rt;
+  Metrics.add rt.RtM.metrics "jade.full_gcs" 1
 
 (* Young controller: §4.1.  Chasing mode also applies here — a stalled
    mutator's core goes to young evacuation. *)
@@ -95,7 +77,7 @@ let young_controller t () =
         else t.config.young_workers
       in
       let ok = Young.collect t.young ~workers in
-      if ok && Heap_impl.free_regions heap >= low_watermark heap then
+      if ok && Heap_impl.free_regions heap >= Common.low_watermark heap then
         t.young_failures <- 0
       else begin
         t.young_failures <- t.young_failures + 1;
@@ -187,19 +169,9 @@ let install ?(config = Jade_config.default) rt =
   in
   let costs = rt.RtM.costs in
   let store_barrier ~src ~field ~old_v ~new_v =
-    if t.old_gc.Old.marker.Common.Marker.active then begin
-      Sim.Engine.tick costs.Costs.satb_barrier;
-      if old_v != Gobj.null then
-        Common.Marker.satb_enqueue t.old_gc.Old.marker old_v
-    end;
+    Common.satb_store_barrier t.old_gc.Old.marker ~src ~field ~old_v ~new_v;
     Young.barrier t.young ~src ~field ~new_v;
     Old.barrier t.old_gc ~src ~field ~new_v
-  in
-  let alloc_failure () =
-    t.young_urgent <- true;
-    Runtime.Safepoint.park rt.RtM.safepoint;
-    Sim.Engine.wait rt.RtM.mem_freed;
-    Runtime.Safepoint.unpark rt.RtM.safepoint
   in
   RtM.install_collector rt
     {
@@ -209,7 +181,10 @@ let install ?(config = Jade_config.default) rt =
       mutator_tax_pct =
         (if config.compressed_oops then 0
          else costs.Costs.compressed_oops_tax_pct);
-      alloc_failure;
+      alloc_failure =
+        (fun () ->
+          t.young_urgent <- true;
+          Common.stall_until_freed rt);
     };
   ignore
     (Sim.Engine.spawn rt.RtM.engine ~daemon:true ~kind:Sim.Engine.Gc

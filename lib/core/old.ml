@@ -27,12 +27,9 @@ type t = {
   crdt : Crdt.t;
   group_remsets : Remset.t array;
   young : Young.t;  (** for old-to-young inserts and promotion stats *)
-  mutable plan : Grouping.plan option;
   mutable current_group : int;  (** round in progress; -1 outside rounds *)
   mutable cycle_running : bool;
   mutable est_cycle_time : int;  (** EMA of cycle duration, Algorithm 2 *)
-  mutable cards_scanned_last_build : int;
-  mutable cards_inserted_via_crdt : int;
 }
 
 let debug =
@@ -53,12 +50,9 @@ let create ~config ~young rt =
             ~name:(Printf.sprintf "jade-group-%d" i)
             ~total_cards:(Heap_impl.total_cards heap));
     young;
-    plan = None;
     current_group = -1;
     cycle_running = false;
     est_cycle_time = 50 * Util.Units.ms;
-    cards_scanned_last_build = 0;
-    cards_inserted_via_crdt = 0;
   }
 
 (** Write-barrier hook (old half): during evacuation rounds, stores that
@@ -198,13 +192,12 @@ let group_phase t =
 (* ------------------------------------------------------------------ *)
 (* Remembered-set building with the CRDT shortcut (§3.3).               *)
 
-let build_remsets t (plan : Grouping.plan) =
+let build_remsets t =
   let rt = t.rt in
   let heap = rt.RtM.heap in
   let metrics = rt.RtM.metrics in
   let costs = rt.RtM.costs in
   let now () = Sim.Engine.now rt.RtM.engine in
-  ignore plan;
   Metrics.phase_begin metrics "jade.build" ~now:(now ());
   let scanned = ref 0 and via_crdt = ref 0 in
   let group_of_region rid = (Heap_impl.region heap rid).Region.group in
@@ -261,34 +254,25 @@ let build_remsets t (plan : Grouping.plan) =
     else if Crdt.get t.crdt card = Crdt.Empty then Crdt.Empty
     else Crdt.Overflow
   in
-  let narr = Util.Vec.length work in
-  let next = ref 0 in
-  Common.run_workers rt ~n:t.config.old_workers ~name:"jade-build" (fun _ tk ->
-      let continue_ = ref true in
-      while !continue_ do
-        if !next >= narr then continue_ := false
-        else begin
-          let card = Util.Vec.get work !next in
-          incr next;
-          (match crdt_get card with
-          | Crdt.Empty ->
-              (* Dirtied after the marking snapshot: conservative scan. *)
-              scan_card_for_targets tk card
-          | Crdt.One r1 ->
-              incr via_crdt;
-              insert_for_target tk ~card ~target_rid:r1
-          | Crdt.Two (r1, r2) ->
-              incr via_crdt;
-              insert_for_target tk ~card ~target_rid:r1;
-              insert_for_target tk ~card ~target_rid:r2
-          | Crdt.Overflow ->
-              (* Three or more referenced regions: rescan (§3.3). *)
-              scan_card_for_targets tk card);
-          Heap_impl.clean_card heap card
-        end
-      done);
-  t.cards_scanned_last_build <- !scanned;
-  t.cards_inserted_via_crdt <- !via_crdt;
+  ignore
+    (Common.claim rt ~n:t.config.old_workers ~name:"jade-build"
+       ~stop:(fun () -> false) (Util.Vec.to_array work)
+       (fun tk card ->
+         (match crdt_get card with
+         | Crdt.Empty ->
+             (* Dirtied after the marking snapshot: conservative scan. *)
+             scan_card_for_targets tk card
+         | Crdt.One r1 ->
+             incr via_crdt;
+             insert_for_target tk ~card ~target_rid:r1
+         | Crdt.Two (r1, r2) ->
+             incr via_crdt;
+             insert_for_target tk ~card ~target_rid:r1;
+             insert_for_target tk ~card ~target_rid:r2
+         | Crdt.Overflow ->
+             (* Three or more referenced regions: rescan (§3.3). *)
+             scan_card_for_targets tk card);
+         Heap_impl.clean_card heap card));
   Metrics.add metrics "jade.build_cards_scanned" !scanned;
   Metrics.add metrics "jade.build_cards_via_crdt" !via_crdt;
   Metrics.phase_end metrics "jade.build" ~now:(now ())
@@ -333,9 +317,6 @@ let evacuate_group t ~group (regions : Region.t list) =
   let metrics = rt.RtM.metrics in
   let costs = rt.RtM.costs in
   t.current_group <- group;
-  let arr = Array.of_list regions in
-  let next = ref 0 in
-  let failed = ref false in
   (* Chasing mode (§4.3): when mutators are stalled their cores are idle;
      run with as many workers as cores to finish the round sooner. *)
   let workers =
@@ -345,58 +326,25 @@ let evacuate_group t ~group (regions : Region.t list) =
   in
   if workers > t.config.old_workers then
     Metrics.add metrics "jade.chasing_rounds" 1;
-  Common.run_workers rt ~n:workers ~name:"jade-evac" (fun _ tk ->
-      let dest = Common.Evac.make_dest rt Region.Old in
-      let continue_ = ref true in
-      while !continue_ do
-        if !failed || !next >= Array.length arr then continue_ := false
-        else begin
-          let i = !next in
-          incr next;
-          let r = arr.(i) in
-          let objs = ref 0 and bytes = ref 0 in
-          match
-            Util.Vec.iter
-              (fun (o : Gobj.t) ->
-                if
-                  (not (Gobj.is_forwarded o)) && Heap_impl.is_marked heap o
-                then begin
-                  let o' = Common.Evac.copy_object dest tk o in
-                  incr objs;
-                  bytes := !bytes + o.Gobj.size;
-                  evacuate_object_fields t tk o' ~group
-                end)
-              r.Region.objects
-          with
-          | () ->
-              if !objs > 0 && RtM.tracing rt then
-                RtM.trace rt
-                  (Runtime.Tracepoint.Evac_batch
-                     { objects = !objs; bytes = !bytes })
-          | exception Common.Evac.Evacuation_failure -> failed := true
-        end
-      done);
-  if not !failed then begin
+  let _, failed =
+    Common.claim rt ~n:workers ~name:"jade-evac" ~stop:(fun () -> false)
+      (Array.of_list regions)
+      (fun tk ->
+        let dest =
+          Common.Evac.make_dest rt Region.Old
+            ~on_copied:(evacuate_object_fields t tk ~group)
+        in
+        Common.Evac.evacuate_region rt tk ~live:(Heap_impl.is_marked heap)
+          ~dest:(fun _ -> dest))
+  in
+  if not failed then begin
     (* Heal every remembered incoming reference, then release the group:
        this is the per-group incremental reclamation of §3.1. *)
-    (* Cons-free remset snapshot; descending order preserved (the legacy
-       list prepended during an ascending iteration, and card claim
-       order is part of the deterministic schedule). *)
-    let cardv = Util.Vec.create ~capacity:64 0 in
-    Remset.iter (fun c -> Util.Vec.push cardv c) t.group_remsets.(group);
-    let nc = Util.Vec.length cardv in
-    let cards = Array.init nc (fun i -> Util.Vec.get cardv (nc - 1 - i)) in
-    let nextc = ref 0 in
-    Common.run_workers rt ~n:workers ~name:"jade-heal" (fun _ tk ->
-        let continue_ = ref true in
-        while !continue_ do
-          if !nextc >= Array.length cards then continue_ := false
-          else begin
-            let c = !nextc in
-            incr nextc;
-            Common.update_refs_in_card rt tk cards.(c)
-          end
-        done);
+    ignore
+      (Common.claim rt ~n:workers ~name:"jade-heal" ~stop:(fun () -> false)
+         (Common.descending_snapshot (fun f ->
+              Remset.iter f t.group_remsets.(group)))
+         (fun tk card -> Common.update_refs_in_card rt tk card));
     Remset.clear t.group_remsets.(group);
     let tk = Common.Ticker.create () in
     List.iter
@@ -411,7 +359,7 @@ let evacuate_group t ~group (regions : Region.t list) =
     RtM.notify_memory_freed rt
   end;
   t.current_group <- -1;
-  not !failed
+  not failed
 
 (* ------------------------------------------------------------------ *)
 (* The cycle.                                                           *)
@@ -427,8 +375,7 @@ let run_cycle t =
   Metrics.phase_begin metrics "jade.old_cycle" ~now:t0;
   mark_phase t;
   let plan = group_phase t in
-  t.plan <- Some plan;
-  build_remsets t plan;
+  build_remsets t;
   Metrics.phase_begin metrics "jade.old_evac" ~now:(now ());
   RtM.fire_phase rt Runtime.Vhook.Evac_start;
   let ok = ref true in
@@ -445,7 +392,6 @@ let run_cycle t =
   Array.iter
     (fun (r : Region.t) -> r.Region.group <- -1)
     rt.RtM.heap.Heap_impl.regions;
-  t.plan <- None;
   let dur = now () - t0 in
   t.est_cycle_time <- ((t.est_cycle_time * 7) + (dur * 3)) / 10;
   Metrics.phase_end metrics "jade.old_cycle" ~now:(now ());

@@ -38,13 +38,9 @@ type t = {
   mutable promotion_rate : float;  (** bytes per second, EMA *)
   mutable last_gc_end : int;
   mutable promoted_prev : int;
-  mutable consecutive_starved : int;
   mutable copied_objects : int;  (** objects evacuated this cycle (trace) *)
   mutable copied_bytes : int;
-  mutable survivor_bytes : int;  (** copied-to-young this cycle *)
-  mutable survivor_cap : int;
-      (** adaptive tenuring: once a cycle's survivors exceed this, the
-          rest promote directly (survivor-overflow, as in HotSpot) *)
+  tenuring : Common.Evac.tenuring;
 }
 
 let create ~config rt =
@@ -64,11 +60,9 @@ let create ~config rt =
     promotion_rate = 0.;
     last_gc_end = 0;
     promoted_prev = 0;
-    consecutive_starved = 0;
     copied_objects = 0;
     copied_bytes = 0;
-    survivor_bytes = 0;
-    survivor_cap = heap.Heap_impl.cfg.heap_bytes / 16;
+    tenuring = Common.Evac.tenuring rt ~tenure_age:config.Jade_config.tenure_age;
   }
 
 let in_snapshot heap (o : Gobj.t) =
@@ -101,10 +95,7 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
   else begin
       let dest_young, dest_old = dests in
       Common.Ticker.tick tk t.rt.RtM.costs.Costs.mark_atomic;
-      let promote =
-        Gobj.age o >= t.config.tenure_age
-        || t.survivor_bytes > t.survivor_cap
-      in
+      let promote = Common.Evac.promotes t.tenuring o in
       let dest = if promote then dest_old else dest_young in
       let racy = t.config.planted_bug = Jade_config.Racy_forwarding in
       let window =
@@ -118,7 +109,7 @@ let copy_out t (dests : Common.Evac.dest * Common.Evac.dest) tk (o : Gobj.t) =
       t.copied_bytes <- t.copied_bytes + o.Gobj.size;
       if promote then
         Metrics.add t.rt.RtM.metrics "jade.promoted_bytes" o.Gobj.size
-      else t.survivor_bytes <- t.survivor_bytes + o.Gobj.size;
+      else Common.Evac.survived t.tenuring o;
       Util.Vec.push t.scan_stack o';
       o'
   end
@@ -215,7 +206,7 @@ let collect t ~workers =
     Common.Ticker.create ~workers:(Sim.Engine.cores rt.RtM.engine) ()
   in
   Metrics.phase_begin metrics "jade.young" ~now:(now ());
-  t.survivor_bytes <- 0;
+  t.tenuring.Common.Evac.survivor_bytes <- 0;
   t.copied_objects <- 0;
   t.copied_bytes <- 0;
   let snapshot = ref [] in
@@ -250,14 +241,7 @@ let collect t ~workers =
   (* Concurrent single phase: remembered-set cards, then the transitive
      copy-and-fix closure, picking up barrier discoveries as they come. *)
   if not !failed then begin
-    (* Snapshot the remembered set without a cons per card.  The legacy
-       list was built by prepending during an ascending iteration, so
-       workers claimed cards in descending order — preserved here (the
-       claim order is part of the deterministic schedule). *)
-    let cards = Util.Vec.create ~capacity:64 0 in
-    Remset.iter (fun c -> Util.Vec.push cards c) t.remset;
-    let n_cards = Util.Vec.length cards in
-    let card_arr = Array.init n_cards (fun i -> Util.Vec.get cards (n_cards - 1 - i)) in
+    let card_arr = Common.descending_snapshot (fun f -> Remset.iter f t.remset) in
     let next_card = ref 0 in
     Common.run_workers rt ~n:workers ~name:"jade-young" (fun _ tk ->
         let dests =
@@ -340,10 +324,7 @@ let collect t ~workers =
   in
   t.promoted_prev <- promoted;
   t.promotion_rate <- (0.7 *. t.promotion_rate) +. (0.3 *. inst);
-  if t.copied_objects > 0 && RtM.tracing rt then
-    RtM.trace rt
-      (Runtime.Tracepoint.Evac_batch
-         { objects = t.copied_objects; bytes = t.copied_bytes });
+  Common.Evac.trace_batch rt ~objects:t.copied_objects ~bytes:t.copied_bytes;
   Metrics.phase_end metrics "jade.young" ~now:(now ());
   RtM.fire_phase rt Runtime.Vhook.Cycle_end;
   not !failed

@@ -39,11 +39,11 @@ let zgc =
 
 let genshen =
   { name = "genshen";
-    install = (fun rt -> ignore (Collectors.Genshen.install rt));
+    install = (fun rt -> ignore (Collectors.Generational.install_genshen rt));
     concurrent_copy = true }
 
 let genz =
-  { name = "genz"; install = (fun rt -> ignore (Collectors.Genz.install rt));
+  { name = "genz"; install = (fun rt -> ignore (Collectors.Generational.install_genz rt));
     concurrent_copy = true }
 
 let lxr =

@@ -174,3 +174,22 @@ sys.exit(0 if ok else 1)
   cat /tmp/ci_perfbench.txt >&2
   exit 1
 }
+
+echo "== benchmark fence (traced GC-bound suite: every collector kernel) =="
+# The GC-bound workload runs seven collectors, so every evacuation,
+# claiming and escalation path is exercised; with the sampled tracer
+# attached, each timed pass must still reproduce the first pass's
+# simulated fingerprint (zero perturbation across the shared kernels).
+python3 perfbench/run.py --workload tight-xalan-suite --seconds 2 --trace 1 \
+  > /tmp/ci_perfbench_xalan.txt
+tail -n 1 /tmp/ci_perfbench_xalan.txt | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+ok = r.get("correct") is True and r.get("failed") == 0
+print("perfbench tight-xalan-suite: correct=%s failed=%s" % (r.get("correct"), r.get("failed")))
+sys.exit(0 if ok else 1)
+' || {
+  echo "benchmark fence FAILED: traced tight-xalan-suite is not correct/0 failed" >&2
+  cat /tmp/ci_perfbench_xalan.txt >&2
+  exit 1
+}

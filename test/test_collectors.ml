@@ -44,8 +44,8 @@ let collectors : (string * (Runtime.Rt.t -> unit)) list =
              rt));
     ("shenandoah", fun rt -> ignore (Collectors.Shenandoah.install rt));
     ("zgc", fun rt -> ignore (Collectors.Zgc.install rt));
-    ("genshen", fun rt -> ignore (Collectors.Genshen.install rt));
-    ("genz", fun rt -> ignore (Collectors.Genz.install rt));
+    ("genshen", fun rt -> ignore (Collectors.Generational.install_genshen rt));
+    ("genz", fun rt -> ignore (Collectors.Generational.install_genz rt));
     ("lxr", fun rt -> ignore (Collectors.Lxr.install rt));
     ("jade", fun rt -> ignore (Jade.Collector.install rt));
   ]
@@ -179,6 +179,108 @@ let test_region_remsets () =
   Alcotest.(check bool) "set dropped" true
     (Collectors.Region_remsets.get rs 3 = None)
 
+(* ------------------------------------------------------------------ *)
+(* The shared work-claiming loop ([Common.claim]).                       *)
+
+let claim_rt () =
+  let engine = Sim.Engine.create ~cores:2 () in
+  let heap =
+    Heap.Heap_impl.create
+      (Heap.Heap_impl.config ~heap_bytes:(4 * mib)
+         ~region_bytes:(256 * Util.Units.kib) ())
+  in
+  Runtime.Rt.create ~seed:42 ~engine ~heap ()
+
+(* Claim [0 .. len-1] with [n] workers from a GC fiber.  [f item] runs as
+   each item is claimed, after it is logged and after a yield that lets
+   the other workers run.  Returns (claim log, remainder, failed). *)
+let run_claim ~n ~len ?(stop = fun _ -> false) f =
+  let rt = claim_rt () in
+  let log = ref [] in
+  let result = ref ([], false) in
+  ignore
+    (Sim.Engine.spawn rt.Runtime.Rt.engine ~name:"claimer" ~kind:Sim.Engine.Gc
+       (fun () ->
+         result :=
+           Collectors.Common.claim rt ~n ~name:"claim-test"
+             ~stop:(fun () -> stop (List.length !log))
+             (Array.init len Fun.id)
+             (fun _tk i ->
+               log := i :: !log;
+               Sim.Engine.yield ();
+               f i)));
+  Sim.Engine.run rt.Runtime.Rt.engine;
+  (List.rev !log, fst !result, snd !result)
+
+let ints = Alcotest.(list int)
+
+let test_claim_each_once_in_order () =
+  let log, rest, failed = run_claim ~n:3 ~len:10 ignore in
+  Alcotest.check ints "each item claimed once, in index order"
+    (List.init 10 Fun.id) log;
+  Alcotest.check ints "nothing left" [] rest;
+  Alcotest.(check bool) "no failure" false failed
+
+let test_claim_stops_on_flag () =
+  let log, rest, failed = run_claim ~n:2 ~len:10 ~stop:(fun k -> k >= 3) ignore in
+  Alcotest.check ints "claiming stops once the flag rises" [ 0; 1; 2 ] log;
+  Alcotest.check ints "unclaimed tail, descending" [ 9; 8; 7; 6; 5; 4; 3 ] rest;
+  Alcotest.(check bool) "a stop is not a failure" false failed
+
+let test_claim_more_workers_than_items () =
+  let log, rest, failed = run_claim ~n:5 ~len:2 ignore in
+  Alcotest.check ints "both items claimed" [ 0; 1 ] log;
+  Alcotest.check ints "nothing left" [] rest;
+  Alcotest.(check bool) "no failure" false failed
+
+let test_claim_failure_remainder () =
+  (* Items 1 and 2 fail while both workers are inside them, so the
+     remainder holds two failed items behind the unclaimed tail. *)
+  let fails = ref [] in
+  let log, rest, failed =
+    run_claim ~n:2 ~len:8 (fun i ->
+        if i = 1 || i = 2 then begin
+          fails := i :: !fails;
+          raise Collectors.Common.Evac.Evacuation_failure
+        end)
+  in
+  Alcotest.(check bool) "failure reported" true failed;
+  Alcotest.(check int) "both failing items were claimed" 2 (List.length !fails);
+  let claimed = List.length log in
+  Alcotest.check ints
+    "unclaimed tail in descending index, then failed items (latest first)"
+    (List.init (8 - claimed) (fun k -> 7 - k) @ !fails)
+    rest
+
+(* The shared tenuring policy. *)
+let test_tenuring_policy () =
+  let rt = claim_rt () in
+  let ten = Collectors.Common.Evac.tenuring rt ~tenure_age:2 in
+  let uids = Heap.Gobj.uid_source () in
+  let obj ~age =
+    Heap.Gobj.remake ~uids
+      (Heap.Gobj.make_with ~uids ~id:1 ~size:64 ~nrefs:0 ~region:0 ~offset:0)
+      ~age ~region:0 ~offset:0
+  in
+  let promotes o = Collectors.Common.Evac.promotes ten o in
+  Alcotest.(check bool) "age below tenure_age stays young" false
+    (promotes (obj ~age:1));
+  Alcotest.(check bool) "age = tenure_age promotes" true (promotes (obj ~age:2));
+  Alcotest.(check bool) "age above tenure_age promotes" true
+    (promotes (obj ~age:3));
+  let cap = ten.Collectors.Common.Evac.survivor_cap in
+  Alcotest.(check int) "survivor cap is a sixteenth of the heap"
+    (4 * mib / 16) cap;
+  ten.Collectors.Common.Evac.survivor_bytes <- cap - 64;
+  Collectors.Common.Evac.survived ten (obj ~age:0);
+  Alcotest.(check int) "survivors counted" cap
+    ten.Collectors.Common.Evac.survivor_bytes;
+  Alcotest.(check bool) "survivor bytes at the cap: no overflow" false
+    (promotes (obj ~age:0));
+  Collectors.Common.Evac.survived ten (obj ~age:0);
+  Alcotest.(check bool) "survivor bytes above the cap: young promotes" true
+    (promotes (obj ~age:0))
+
 let () =
   Alcotest.run "collectors"
     ([
@@ -194,6 +296,19 @@ let () =
            collectors );
        ( "region remsets",
          [ Alcotest.test_case "lifecycle" `Quick test_region_remsets ] );
+       ( "claim",
+         [
+           Alcotest.test_case "each item once, in index order" `Quick
+             test_claim_each_once_in_order;
+           Alcotest.test_case "stops when the flag rises" `Quick
+             test_claim_stops_on_flag;
+           Alcotest.test_case "more workers than items" `Quick
+             test_claim_more_workers_than_items;
+           Alcotest.test_case "failure remainder order" `Quick
+             test_claim_failure_remainder;
+         ] );
+       ( "tenuring",
+         [ Alcotest.test_case "age and survivor overflow" `Quick test_tenuring_policy ] );
        ( "determinism",
          [
            Alcotest.test_case "g1" `Slow
